@@ -1,7 +1,7 @@
 """One workload in one fresh process: set-up, warm-up, timed phase.
 
 Started by run.py, never by hand.  Prints ``BENCH-READY <json>`` when set-up
-(imports, input generation, file writing, one warm-up round) is done, then,
+(imports, input generation, file writing, a warm-up pass) is done, then,
 unless ``--setup-only``, runs whole rounds of operations until ``--seconds``
 have passed and prints ``BENCH-RESULT <json>``.
 
@@ -30,7 +30,10 @@ MAX_REPORTED_FAILURES = 5
 
 
 def run_round(ops, tracer, op_base: int, times: list, failures: list, known: list,
-              by_name: dict | None = None) -> None:
+              healed: set) -> None:
+    """Run and check one round.  A failure lands in ``known`` when the
+    operation is a listed program fault, else in ``failures``; a listed
+    fault that passes is added to ``healed``."""
     for i, op in enumerate(ops):
         if tracer is not None:
             tracer.begin(op_base + i)
@@ -43,8 +46,6 @@ def run_round(ops, tracer, op_base: int, times: list, failures: list, known: lis
         if tracer is not None:
             tracer.end()
         times.append(t1 - t0)
-        if by_name is not None:
-            by_name.setdefault(op.name, []).append(t1 - t0)
         if error is None:
             try:
                 error = op.check(result)
@@ -52,6 +53,8 @@ def run_round(ops, tracer, op_base: int, times: list, failures: list, known: lis
                 error = f"check raised {exc!r}"
         if error is not None:
             (known if op.known_fault else failures).append(f"{op.name}: {error}")
+        elif op.known_fault:
+            healed.add(op.name)
 
 
 def main() -> int:
@@ -73,8 +76,10 @@ def main() -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     try:
         workload = WORKLOADS[args.workload](W, args.seed, workdir)
-        warm_times, warm_fail, warm_known = [], [], []
-        run_round(workload.round_ops(False), None, 0, warm_times, warm_fail, warm_known)
+        warm_times, warm_fail, warm_known, healed = [], [], [], set()
+        # one round, or less where the workload says a part of one warms it
+        warmup = getattr(workload, "warmup_ops", lambda: workload.round_ops(False))()
+        run_round(warmup, None, 0, warm_times, warm_fail, warm_known, healed)
         print("BENCH-READY " + json.dumps({"startup": startup}), flush=True)
         if args.setup_only:
             return 0
@@ -82,7 +87,6 @@ def main() -> int:
         tracer = Tracer() if args.trace else None
         times = {False: [], True: []}
         failures, known = [], []
-        by_name = {}
         attempted = rounds = 0
         t_end = time.perf_counter() + args.seconds
         # traced runs alternate untraced and traced rounds, so the two can be
@@ -94,7 +98,7 @@ def main() -> int:
                 tracer.install()
             try:
                 run_round(ops, tracer if traced else None, attempted, times[traced], failures, known,
-                          by_name)
+                          healed)
             finally:
                 if traced:
                     tracer.uninstall()
@@ -121,9 +125,7 @@ def main() -> int:
             "peak_rss_mb": peak_kib / 1024.0,
             "failures": (warm_fail + failures)[:MAX_REPORTED_FAILURES],
             "known_failures": sorted(set(known)),
-            "op_median_ms": {name: median(ts) * 1e3 for name, ts in by_name.items()},
-            "percentiles_ms": {p: percentile(all_times, p) * 1e3
-                               for p in (50, 70, 90, 95, 96, 97, 98, 99, 99.5, 99.9)},
+            "healed": sorted(healed),
         }
         if args.trace:
             n_traced = len(times[True])

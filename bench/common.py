@@ -45,13 +45,6 @@ def child_env(spawn_t: float | None = None) -> dict:
     return env
 
 
-def check_source_tree() -> str | None:
-    """Reason the checkout cannot be benchmarked, or None."""
-    if not (SRC / "widthlab" / "__init__.py").is_file():
-        return f"no widthlab sources under {SRC}"
-    return None
-
-
 def import_widthlab_timed() -> tuple:
     """Import numpy, scipy.linalg and widthlab in that order, timing each.
 

@@ -254,6 +254,23 @@ TOWER_MODELS = (("geom", 0.3), ("geom", 0.5), ("geom", 0.8),
 TOWER_DIMS = (8, 12, 16, 24, 32, 40, 48, 56, 64, 80, 96, 128)
 TOWER_CONSTRAINTS = (1, 2, 3)
 TOWER_SEED = 7
+# (model, m) -> the dimensions d at which the fault shows today.  Only these
+# points count as known failures; a failure anywhere else is unexpected and
+# sets ``correct`` false, and a listed point that passes is reported.
+TOWER_FAULTS = {
+    (("geom", 0.3), 1): (48, 80),
+    (("geom", 0.3), 2): (48, 56, 80, 96, 128),
+    (("geom", 0.3), 3): (40, 48, 56, 64, 80, 96, 128),
+    (("geom", 0.5), 1): (80,),
+    (("geom", 0.5), 2): (56, 80),
+    (("geom", 0.5), 3): (80, 96, 128),
+    (("supergeom", 1.5), 1): (32, 40),
+    (("supergeom", 1.5), 2): (32, 40),
+    (("supergeom", 1.5), 3): (32, 40),
+    (("supergeom", 1.2), 1): (32, 40, 48, 56),
+    (("supergeom", 1.2), 2): (32, 40, 48, 56),
+    (("supergeom", 1.2), 3): (32, 40, 48, 56),
+}
 RIGID_NORM_BOUND = 10.0
 
 
@@ -453,7 +470,7 @@ class ModelStudies:
                     self.ops.append(Op(f"dichotomy[{family}({param}),m={k},d={d}]",
                                        lambda model=model, k=k, d=d:
                                        W.wot_density_experiment(model, k, [d], TOWER_SEED),
-                                       check, known_fault=(family != "pow")))
+                                       check, known_fault=d in TOWER_FAULTS.get(((family, param), k), ())))
 
     def _rigid_ops(self, rng):
         W = self.W
@@ -786,6 +803,11 @@ class CliCold:
 
     def round_ops(self, traced: bool):
         return [self._op(argv, check, traced) for argv, check in self.commands]
+
+    def warmup_ops(self):
+        """Every command imports the same modules, so one process fills the
+        file cache for all of them."""
+        return self.round_ops(False)[:1]
 
     def _op(self, argv, check, traced: bool) -> Op:
         span_file = self.dir / "spans.json"
