@@ -46,7 +46,6 @@ from . import (
     rigid_cover_search,
     schmidt_cover,
     section_spectrum,
-    singular_spectrum,
     solve_xay,
     wot_density_experiment,
     write_matrix,
@@ -222,8 +221,8 @@ def _build_parser() -> _ArgumentParser:
 
 def _run_command(args) -> None:
     if args.command == "widths":
-        spec = singular_spectrum(read_matrix(args.matrix))
-        widths = kolmogorov_widths(ellipsoid(read_matrix(args.matrix)))
+        e = ellipsoid(read_matrix(args.matrix))
+        spec, widths = e.spectrum, kolmogorov_widths(e)
         _emit(args,
               {"s_numbers": spec.values, "widths": widths.values, "rank": spec.rank},
               [f"s-numbers: {' '.join(_fmt(v) for v in spec.values)}",

@@ -15,21 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._linalg import psd_margin, rank_from_values
 from .errors import InputError, NotCoverableError, WidthlabError
 from .seqlab import (
     LacunarityVerdict,
     SequenceModel,
-    Shifted,
-    _canon,
-    _exact_max_shift,
-    _is_parametric,
-    _same_shape,
     is_lacunary,
-    majorizes,
     sample,
-    strictly_majorizes,
+    shift_search,
 )
 from .spectra import (
     Ellipsoid,
@@ -158,15 +152,8 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
             f"{e2.ambient_dim}, got shape {t.shape}"
         )
     ta = t @ e1.generator
-    g1 = ta @ ta.T
-    g2 = e2.generator @ e2.generator.T
-    diff = g1 - g2
-    lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
-    scale = 1.0 + max(
-        float(np.linalg.norm(ta, 2)) ** 2,
-        float(e2.spectrum.s(1)) ** 2,
-    )
-    margin = lam_min / scale
+    margin = psd_margin(ta @ ta.T, e2.generator @ e2.generator.T,
+                        np.linalg.norm(ta, 2), e2.spectrum.s(1))
     holds = margin >= -tol
     if holds:
         return CoverCertificate(True, margin, witness=t, norm=float(np.linalg.norm(t, 2)))
@@ -316,32 +303,16 @@ def classify_WCG(a: SequenceModel, b: SequenceModel, k_max: int = 16) -> Classif
 
 
 def _classify(a, b, k_max, strict) -> ClassificationVerdict:
-    compare = strictly_majorizes if strict else majorizes
-    base = compare(a, b)
-    if not base.holds:
-        return ClassificationVerdict(EMPTY, exact=base.exact)
-    ca, cb = _canon(a), _canon(b)
-    same = _same_shape(ca, cb)
-    if _is_parametric(ca) and _is_parametric(cb):
-        k = _exact_max_shift(ca, cb, strict=strict)
-        if k is None:
-            return ClassificationVerdict(EVERYTHING, exact=True)
-        if k == 0 and same:
-            return ClassificationVerdict(ALGEBRA_AK, exact=True)
-        return ClassificationVerdict(KDIM, k=k, exact=True)
-    last_held = 0
-    for k in range(1, k_max + 1):
-        try:
-            holds = compare(Shifted(k, a), b).holds
-        except InputError:
-            break
-        if not holds:
-            if last_held == 0 and same:
-                return ClassificationVerdict(ALGEBRA_AK, exact=False)
-            return ClassificationVerdict(KDIM, k=last_held, exact=False)
-        last_held = k
-    return ClassificationVerdict(EVERYTHING, exact=False,
-                                 note=f"every tested shift up to {k_max} passed")
+    found = shift_search(a, b, k_max, strict=strict)
+    exact = found.base.exact
+    if not found.base.holds:
+        return ClassificationVerdict(EMPTY, exact=exact)
+    if found.k is None:
+        note = "" if exact else f"every tested shift up to {found.exhausted_at} passed"
+        return ClassificationVerdict(EVERYTHING, exact=exact, note=note)
+    if found.k == 0 and found.same_shape:
+        return ClassificationVerdict(ALGEBRA_AK, exact=exact)
+    return ClassificationVerdict(KDIM, k=found.k, exact=exact)
 
 
 # ----------------------------------------------------------------------
@@ -369,14 +340,8 @@ def find_separating_projection(t_list) -> np.ndarray:
         terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(coeffs) if abs(c) > 1e-12)
         raise InputError(f"operators are linearly dependent: {terms} = 0")
 
-    pool = []
-    bases = [np.linalg.svd(t)[0] for t in mats]
-    ranks = [int(np.count_nonzero(np.linalg.svd(t, compute_uv=False) > 1e-12 * max(np.linalg.norm(t, 2), 1e-300)))
-             for t in mats]
-    for level in range(d):
-        for u, r in zip(bases, ranks):
-            if level < r:
-                pool.append(u[:, level])
+    factors = [(u, rank_from_values(sv)) for u, sv, _ in map(np.linalg.svd, mats)]
+    pool = [u[:, level] for level in range(d) for u, r in factors if level < r]
 
     q_cols: list[np.ndarray] = []
     for cand in pool:
@@ -417,12 +382,12 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     p2 = e2.span_basis @ e2.span_basis.T
     if np.linalg.norm(p1 - p2, 2) > RANGE_TOL:
         return RangeEquivalence(False)
-    q = e1.span_basis
-    m1 = q.T @ a1
-    m2 = q.T @ a2
-    eigs = scipy.linalg.eigh(m2 @ m2.T, m1 @ m1.T, eigvals_only=True)
-    c = float(math.sqrt(max(eigs[0], 0.0)))
-    cc = float(math.sqrt(max(eigs[-1], 0.0)))
+    # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
+    # eigenvalues of the two forms are the squared singular values of
+    # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
+    s1 = e1.spectrum.values[: e1.rank]
+    sv = np.linalg.svd((e1.span_basis.T @ a2) / s1[:, None], compute_uv=False)
+    c, cc = float(sv[-1]), float(sv[0])
     if not covers(np.eye(e1.ambient_dim), e2, scale_ellipsoid(e1, c)).holds or \
        not covers(np.eye(e1.ambient_dim), scale_ellipsoid(e1, cc), e2).holds:
         raise WidthlabError("internal: extreme scaling constants failed the PSD certificate")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import rank, rank_from_values
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
 from .seqlab import MajorizationVerdict, SequenceModel, majorizes
 from .spectra import _as_operator, _freeze, nullspace_basis
@@ -30,15 +31,7 @@ __all__ = [
     "approx_factorization",
 ]
 
-_RANK_RCOND = 1e-12
 _RESIDUAL_TOL = 1e-9
-
-
-def _rank(m: np.ndarray) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > _RANK_RCOND * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -83,14 +76,19 @@ class MatchCertificate:
         object.__setattr__(self, "operator", _freeze(self.operator))
 
 
-def xay_solvable(a, b, a_model: SequenceModel | None = None,
-                 b_model: SequenceModel | None = None) -> SolvabilityVerdict:
-    """Decide solvability of ``X A Y = B`` (square operators on one space)."""
+def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     a = _as_operator(a, "A")
     b = _as_operator(b, "B")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise InputError(f"A and B must be square with equal shapes, got {a.shape} and {b.shape}")
-    ra, rb = _rank(a), _rank(b)
+    return a, b
+
+
+def xay_solvable(a, b, a_model: SequenceModel | None = None,
+                 b_model: SequenceModel | None = None) -> SolvabilityVerdict:
+    """Decide solvability of ``X A Y = B`` (square operators on one space)."""
+    a, b = _square_pair(a, b)
+    ra, rb = rank(a), rank(b)
     asym = None
     if a_model is not None and b_model is not None:
         asym = majorizes(a_model, b_model)
@@ -106,16 +104,13 @@ def solve_xay(a, b) -> SolutionPair:
     and the square-root split balances the two factor norms.  The solution
     is not unique; this particular one is fixed for determinism.
     """
-    verdict = xay_solvable(a, b)
-    if not verdict.solvable:
-        raise UnsolvableError(
-            f"rank(B)={verdict.rank_B} exceeds rank(A)={verdict.rank_A}", verdict
-        )
-    a = _as_operator(a, "A")
-    b = _as_operator(b, "B")
+    a, b = _square_pair(a, b)
     ua, sa, vta = np.linalg.svd(a)
     ub, sb, vtb = np.linalg.svd(b)
-    r = verdict.rank_B
+    ra, r = rank_from_values(sa), rank_from_values(sb)
+    if r > ra:
+        raise UnsolvableError(f"rank(B)={r} exceeds rank(A)={ra}",
+                              SolvabilityVerdict(False, ra, r))
     if r == 0:
         d = a.shape[0]
         return SolutionPair(np.zeros((d, d)), np.zeros((d, d)), 0.0)
@@ -136,7 +131,7 @@ def first_component_member(x, a, b) -> bool:
     if x.shape[1] != a.shape[0] or x.shape[0] != b.shape[0]:
         raise InputError("shape mismatch between X, A and B")
     xa = x @ a
-    return _rank(np.hstack([xa, b])) == _rank(xa)
+    return rank(np.hstack([xa, b])) == rank(xa)
 
 
 def factor_pair(b) -> SolutionPair:
@@ -214,9 +209,9 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
     n, m = x.shape[1], yv.shape[1]
     if xt.shape[1] != n or yt.shape[1] != m or m == 0:
         raise InputError("xs/xs_target and ys/ys_target must pair up and be nonempty")
-    if _rank(x) != n:
+    if rank(x) != n:
         raise InputError("xs must be linearly independent")
-    if _rank(yv) != m:
+    if rank(yv) != m:
         raise InputError("ys must be linearly independent")
     if d < n + m:
         raise InputError(f"ambient dimension {d} below |xs| + |ys| = {n + m}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import psd_margin
 from .covering import ALGEBRA_AK, EVERYTHING, PSD_TOL, ClassificationVerdict, covers
 from .errors import InputError
 from .seqlab import SequenceModel, is_lacunary
@@ -37,12 +38,7 @@ def is_expanding(t, a, tol: float = PSD_TOL) -> ExpandVerdict:
     if t.shape != a.shape or t.shape[0] != t.shape[1]:
         raise InputError(f"T and A must be square of one size, got {t.shape} and {a.shape}")
     at = a @ t
-    g1 = at.T @ at
-    g2 = a.T @ a
-    diff = g1 - g2
-    lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
-    scale = 1.0 + max(float(np.linalg.norm(at, 2)) ** 2, float(np.linalg.norm(a, 2)) ** 2)
-    margin = lam_min / scale
+    margin = psd_margin(at.T @ at, a.T @ a, np.linalg.norm(at, 2), np.linalg.norm(a, 2))
     return ExpandVerdict(margin >= -tol, margin)
 
 

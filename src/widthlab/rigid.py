@@ -66,8 +66,8 @@ class RigidCompactSpec:
             raise InputError("consecutive alpha ratios must decrease strictly")
         if any(not 0.5 < b < 1.0 for b in self.betas):
             raise InputError("betas must lie in the open interval (1/2, 1)")
-        if len(set(self.betas)) != self.n:
-            raise InputError("betas must be pairwise distinct")
+        if any(_close(b1, b2) for b1, b2 in itertools.combinations(self.betas, 2)):
+            raise InputError(f"betas must be pairwise distinct (relative gap above {_RATIO_TOL:g})")
 
 
 @dataclass(frozen=True)

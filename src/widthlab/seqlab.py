@@ -33,10 +33,12 @@ __all__ = [
     "MajorizationVerdict",
     "LacunarityVerdict",
     "ShiftClassification",
+    "ShiftSearch",
     "sample",
     "is_lacunary",
     "majorizes",
     "strictly_majorizes",
+    "shift_search",
     "max_majorizing_shift",
     "equivalent",
     "parse_model",
@@ -206,6 +208,16 @@ class ShiftClassification:
 
     k: int | None
     exhausted_at: int
+
+
+@dataclass(frozen=True)
+class ShiftSearch:
+    """Outcome of :func:`shift_search`; a closed-form ``k`` may exceed the budget."""
+
+    base: MajorizationVerdict  # unshifted pair; base.exact marks the closed form
+    k: int | None              # largest (strictly) majorizing shift, None if all held
+    exhausted_at: int          # the budget, or the last shift tested if terms ran out
+    same_shape: bool           # a and b agree up to a positive scale
 
 
 # ----------------------------------------------------------------------
@@ -437,17 +449,36 @@ def strictly_majorizes(a: SequenceModel, b: SequenceModel,
     return MajorizationVerdict(holds, float(ratios.max()), int(ratios.size), False)
 
 
-def _exact_max_shift(ca: _Canon, cb: _Canon, strict: bool) -> int | None:
-    """Largest majorizing shift for parametric pairs; None means all shifts.
+def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = False,
+                 window: int = DEFAULT_WINDOW) -> ShiftSearch:
+    """Largest left shift of ``a`` that still (strictly) majorizes ``b``.
 
-    Only the equal-base super-geometric pair is shift-sensitive: every other
-    family combination keeps its (strict) majorization under arbitrary
-    shifts of ``a``.  Assumes shift 0 already (strictly) majorizes.
+    Parametric pairs are answered in closed form: only the equal-base
+    super-geometric pair is shift-sensitive, every other family combination
+    keeps its (strict) majorization under arbitrary shifts of ``a``.
+    Otherwise shifts ``1 .. k_max`` are tested in turn with the windowed
+    surrogate, stopping at the first that fails.
     """
-    if ca.kind == _SUPER and cb.kind == _SUPER and ca.param == cb.param:
-        gap = cb.offset - ca.offset
-        return gap - 1 if strict else gap
-    return None
+    compare = strictly_majorizes if strict else majorizes
+    base = compare(a, b, window=window)
+    if not base.holds:
+        return ShiftSearch(base, None, k_max, False)
+    ca, cb = _canon(a), _canon(b)
+    same = _same_shape(ca, cb)
+    if base.exact:
+        k = None
+        if ca.kind == _SUPER and cb.kind == _SUPER and ca.param == cb.param:
+            k = cb.offset - ca.offset - (1 if strict else 0)
+        return ShiftSearch(base, k, k_max, same)
+    for k in range(1, k_max + 1):
+        try:
+            holds = compare(Shifted(k, a), b, window=window).holds
+        except InputError:
+            # shift exhausted a finite samples model: every testable shift held
+            return ShiftSearch(base, None, k - 1, same)
+        if not holds:
+            return ShiftSearch(base, k - 1, k_max, same)
+    return ShiftSearch(base, None, k_max, same)
 
 
 def max_majorizing_shift(a: SequenceModel, b: SequenceModel, k_max: int,
@@ -455,23 +486,11 @@ def max_majorizing_shift(a: SequenceModel, b: SequenceModel, k_max: int,
     """Largest ``k <= k_max`` whose left shift of ``a`` still majorizes ``b``."""
     if k_max < 0:
         raise InputError(f"shift budget must be nonnegative, got {k_max}")
-    if not majorizes(a, b, window=window).holds:
+    found = shift_search(a, b, k_max, window=window)
+    if not found.base.holds:
         raise ClassificationError("not even k=0: the unshifted sequence does not majorize")
-    ca, cb = _canon(a), _canon(b)
-    if _is_parametric(ca) and _is_parametric(cb):
-        k = _exact_max_shift(ca, cb, strict=False)
-        if k is None or k > k_max:
-            return ShiftClassification(None, k_max)
-        return ShiftClassification(k, k_max)
-    for k in range(1, k_max + 1):
-        try:
-            holds = majorizes(Shifted(k, a), b, window=window).holds
-        except InputError:
-            # shift exhausted a finite samples model: every testable shift held
-            return ShiftClassification(None, k - 1)
-        if not holds:
-            return ShiftClassification(k - 1, k_max)
-    return ShiftClassification(None, k_max)
+    k = found.k if found.k is not None and found.k <= k_max else None
+    return ShiftClassification(k, found.exhausted_at)
 
 
 def equivalent(a: SequenceModel, b: SequenceModel,

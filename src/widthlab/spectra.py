@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import RANK_RCOND, rank_from_values
 from .errors import InputError
 
 __all__ = [
@@ -32,9 +33,6 @@ __all__ = [
     "scale_ellipsoid",
     "ellipsoid_membership",
 ]
-
-# Singular values below RANK_RCOND * s_1 count as zero for rank decisions.
-RANK_RCOND = 1e-12
 
 # Orthonormality slack accepted for subspace bases.
 ORTHO_TOL = 1e-9
@@ -75,13 +73,6 @@ def _check_orthonormal_columns(q: np.ndarray, name: str) -> None:
         raise InputError(f"{name}: columns are not orthonormal (tolerance {ORTHO_TOL:g})")
 
 
-def _rank_from_values(values: np.ndarray, rcond: float) -> int:
-    if values.size == 0:
-        return 0
-    cutoff = rcond * values[0]
-    return int(np.count_nonzero(values > max(cutoff, 0.0)))
-
-
 def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns.
 
@@ -103,8 +94,9 @@ def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
         blocks.append(coord)
     if live_cols.size:
         sub = m[:, live_cols]
-        _, sv, vh = np.linalg.svd(sub)
-        rank = _rank_from_values(sv, rcond)
+        # only a wide block needs full factors; a tall block's full u can be huge
+        _, sv, vh = np.linalg.svd(sub, full_matrices=sub.shape[0] < sub.shape[1])
+        rank = rank_from_values(sv, rcond)
         if rank < sub.shape[1]:
             emb = np.zeros((n, sub.shape[1] - rank))
             emb[live_cols, :] = vh[rank:].T
@@ -206,14 +198,14 @@ def singular_spectrum(a, rcond: float = RANK_RCOND) -> SingularSpectrum:
     """Singular values of ``a`` in nonincreasing order, with rank cutoff."""
     arr = _as_operator(a)
     values = np.linalg.svd(arr, compute_uv=False)
-    return SingularSpectrum(values=values, rank=_rank_from_values(values, rcond))
+    return SingularSpectrum(values=values, rank=rank_from_values(values, rcond))
 
 
 def ellipsoid(a, rcond: float = RANK_RCOND) -> Ellipsoid:
     """Build the ellipsoid ``a(B)`` with its SVD data cached."""
     arr = _as_operator(a, "generator")
     u, sv, vh = np.linalg.svd(arr, full_matrices=False)
-    rank = _rank_from_values(sv, rcond)
+    rank = rank_from_values(sv, rcond)
     return Ellipsoid(
         generator=arr,
         spectrum=SingularSpectrum(values=sv, rank=rank),

@@ -96,6 +96,33 @@ class TestVerdictCommands:
         payload = json.loads(out)
         assert code == 0 and payload["identity_only"] is True
 
+    def test_rigid_rejects_betas_the_search_cannot_tell_apart(self, tmp_path, capsys):
+        spec = {"n": 4, "alphas": [1.0, 0.5, 0.125, 0.015625], "betas": [0.6, 0.6 + 1e-13, 0.7, 0.8]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = invoke(capsys, ["rigid", "--spec", path, "--norm-bound", "10"])
+        assert code == 1 and "distinct" in err
+
+    def test_widths_reads_the_file_once(self, workdir, capsys, monkeypatch):
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_matrix(path)
+
+        monkeypatch.setattr(widthlab.cli, "read_matrix", counting_read)
+        code, _, _ = invoke(capsys, ["widths", workdir / "A.mat"])
+        assert code == 0 and len(reads) == 1
+
+    def test_widths_equal_s_numbers_up_to_the_rank(self, tmp_path, capsys):
+        # both come from one decomposition, so they agree to the last bit
+        write_matrix(tmp_path / "G.mat", np.random.default_rng(3).normal(size=(40, 40)))
+        code, out, _ = invoke(capsys, ["widths", tmp_path / "G.mat", "--json"])
+        payload = json.loads(out)
+        rank = payload["rank"]
+        assert code == 0 and rank == 40
+        assert payload["widths"][:rank] == payload["s_numbers"][:rank]
+
 
 class TestFileOutputs:
     def test_cover_make_writes_operator(self, workdir, capsys):
@@ -225,6 +252,26 @@ def test_console_script_entry_point(tmp_path):
     proc = run_child(console_script_command() + ["widths", "A.mat"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "s-numbers: 2 1" in proc.stdout, proc.stderr
+
+
+# Runs `python -m widthlab` with every import of scipy failing.
+WITHOUT_SCIPY_RUNNER = """\
+import runpy, sys
+sys.modules["scipy"] = None
+runpy.run_module("widthlab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    write_matrix(tmp_path / "A1.mat", np.diag([1.0, 0.5]))
+    write_matrix(tmp_path / "A2.mat", np.eye(2))
+    proc = run_child([sys.executable, "-c", WITHOUT_SCIPY_RUNNER,
+                      "range-equiv", "A1.mat", "A2.mat", "--json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["same_range"] is True
+    assert float(payload["c"]) == pytest.approx(1.0, rel=1e-12)
+    assert float(payload["C"]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_python_m_widthlab(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from widthlab import (
     is_lacunary,
     is_weakly_full,
     kolmogorov_widths,
+    max_majorizing_shift,
     prescribed_cover,
     range_equiv,
     scale_ellipsoid,
@@ -291,6 +293,14 @@ class TestClassification:
         v = classify_WG(Samples((1.0, 0.5, 0.25, 0.125)), Samples((1.0, 0.5, 0.25, 0.125)), k_max=3)
         assert v.tag == EVERYTHING and not v.exact
 
+    def test_exhaustion_note_names_the_last_tested_shift(self):
+        # three terms allow shifts 1 and 2 only, whatever the budget
+        a = Samples((1.0, 0.5, 0.25))
+        v = classify_WG(a, a, k_max=16)
+        assert (v.tag, v.exact) == (EVERYTHING, False)
+        assert v.note == "every tested shift up to 2 passed"
+        assert max_majorizing_shift(a, a, 16).exhausted_at == 2
+
 
 class TestSeparatingProjection:
     def test_matrix_units_need_full_rank(self):
@@ -317,6 +327,19 @@ class TestSeparatingProjection:
         t = np.array([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(InputError, match="linearly dependent"):
             find_separating_projection([t, 2 * t])
+
+    def test_memory_stays_small(self):
+        # the independence check on the d^2 x 3 stack must not build a
+        # d^2 x d^2 left factor (40 MiB at d = 48)
+        rng = np.random.default_rng(12)
+        mats = [rng.normal(size=(48, 48)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            find_separating_projection(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRangeEquivalence:
@@ -345,6 +368,18 @@ class TestRangeEquivalence:
             e1, e2 = ellipsoid(a1), ellipsoid(a2)
             assert covers(np.eye(5), e2, scale_ellipsoid(e1, eq.c)).holds
             assert covers(np.eye(5), scale_ellipsoid(e1, eq.C), e2).holds
+
+    @pytest.mark.parametrize("d", [5, 50])
+    def test_constants_are_the_extreme_singular_values_of_the_twist(self, d):
+        # the tightest c, C with c a(B) ⊆ a R(B) ⊆ C a(B) are s_min(R), s_max(R)
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d)) + math.sqrt(d) * np.eye(d)
+        r = rng.normal(size=(d, d)) + math.sqrt(d) * np.eye(d)
+        eq = range_equiv(a, a @ r)
+        sv = np.linalg.svd(r, compute_uv=False)
+        assert eq.same_range
+        assert eq.c == pytest.approx(sv[-1], rel=1e-12)
+        assert eq.C == pytest.approx(sv[0], rel=1e-12)
 
 
 class TestWeakFullness:

@@ -20,6 +20,16 @@ class TestSpecValidation:
         with pytest.raises(InputError, match="distinct"):
             RigidCompactSpec(n=2, alphas=(1.0, 0.01), betas=(0.6, 0.6))
 
+    def test_betas_the_search_cannot_tell_apart(self):
+        # the search compares ratios with a 1e-12 relative tolerance, so it
+        # would take these betas for equal and admit a second cover
+        with pytest.raises(InputError, match="distinct"):
+            RigidCompactSpec(n=4, alphas=(1.0, 0.5, 0.125, 0.015625),
+                             betas=(0.6, 0.6 + 1e-13, 0.7, 0.8))
+        spec = RigidCompactSpec(n=4, alphas=(1.0, 0.5, 0.125, 0.015625),
+                                betas=(0.6, 0.6 + 1e-11, 0.7, 0.8))
+        assert rigid_cover_search(spec, norm_bound=10.0).identity_only
+
     def test_betas_out_of_interval(self):
         with pytest.raises(InputError, match=r"\(1/2, 1\)"):
             RigidCompactSpec(n=1, alphas=(1.0,), betas=(0.4,))
