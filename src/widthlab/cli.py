@@ -112,84 +112,99 @@ def _codim(text: str):
         raise InputError(f"codimension must be an integer or 'inf', got {text!r}") from None
 
 
-def _columns_of(path: str) -> list[np.ndarray]:
-    mat = read_matrix(path)
-    return [mat[:, j] for j in range(mat.shape[1])]
-
-
 def _tag_line(verdict) -> str:
     if verdict.tag == "KDim":
         return f"KDim({verdict.k})"
     return verdict.tag
 
 
+def _read_rigid_spec(path: str) -> RigidCompactSpec:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    try:
+        n, alphas, betas = raw["n"], raw["alphas"], raw["betas"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{path}: expected fields n, alphas, betas ({exc})") from None
+    # json.load gives exact int, float and list types; bool is not a number here
+    if type(n) is not int or not all(isinstance(v, list) and all(type(x) in (int, float) for x in v)
+                                     for v in (alphas, betas)):
+        raise InputError(f"{path}: n must be an integer, alphas and betas arrays of numbers")
+    return RigidCompactSpec(n=n, alphas=tuple(alphas), betas=tuple(betas))
+
+
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="widthlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text):
+    def cmd(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON report (default: human-readable)")
+        p.set_defaults(handler=handler)
         return p
 
-    p = cmd("widths", "s-numbers and Kolmogorov widths of a matrix")
+    p = cmd("widths", "s-numbers and Kolmogorov widths of a matrix", _widths)
     p.add_argument("matrix", help="matrix file")
 
-    p = cmd("section", "spectrum of the section of an ellipsoid by a subspace")
+    p = cmd("section", "spectrum of the section of an ellipsoid by a subspace", _section)
     p.add_argument("matrix", help="generator matrix file")
     p.add_argument("subspace", help="orthonormal columns of the subspace being cut out")
 
-    p = cmd("classify-seq", "lacunarity verdict for a sequence model")
+    p = cmd("classify-seq", "lacunarity verdict for a sequence model", _classify_seq)
     p.add_argument("--model", required=True, help="sequence model expression")
     p.add_argument("--tau", type=float, default=1e-3, help="windowed ratio threshold (default 1e-3)")
     p.add_argument("--window", type=int, default=64, help="surrogate window length (default 64)")
 
-    p = cmd("cover-test", "does T map one ellipsoid over another?")
+    p = cmd("cover-test", "does T map one ellipsoid over another?", _cover_test)
     p.add_argument("--t", required=True, help="operator matrix file")
     p.add_argument("--e1", required=True, help="source generator file")
     p.add_argument("--e2", required=True, help="target generator file")
     p.add_argument("--tol", type=float, default=1e-9, help="PSD slack (default 1e-9)")
 
-    p = cmd("cover-make", "minimal-norm covering operator between ellipsoids")
+    p = cmd("cover-make", "minimal-norm covering operator between ellipsoids", _cover_make)
     p.add_argument("--e1", required=True, help="source generator file")
     p.add_argument("--e2", required=True, help="target generator file")
     p.add_argument("--out", help="write the covering operator to this matrix file")
 
-    for name, help_text in (
-        ("classify-wg", "closure of the two-ellipsoid covering set"),
-        ("classify-wcg", "compact-operator covering closure (strict variant)"),
+    for name, help_text, handler in (
+        ("classify-wg", "closure of the two-ellipsoid covering set", _classify_wg),
+        ("classify-wcg", "compact-operator covering closure (strict variant)", _classify_wcg),
     ):
-        p = cmd(name, help_text)
+        p = cmd(name, help_text, handler)
         p.add_argument("--a", required=True, help="width model of the source ellipsoid")
         p.add_argument("--b", required=True, help="width model of the target ellipsoid")
         p.add_argument("--k-max", type=int, default=16, help="shift budget for sampled models (default 16)")
 
-    p = cmd("range-equiv", "are two operator ranges equal, and between which scalings?")
+    p = cmd("range-equiv", "are two operator ranges equal, and between which scalings?", _range_equiv)
     p.add_argument("matrix1", help="first generator file")
     p.add_argument("matrix2", help="second generator file")
 
-    p = cmd("weakly-full", "weak fullness of the algebra preserving an operator range")
+    p = cmd("weakly-full", "weak fullness of the algebra preserving an operator range", _weakly_full)
     p.add_argument("--model", required=True, help="width model of a generating ellipsoid")
     p.add_argument("--codim", required=True, type=_codim, help="codimension of the range closure (integer or 'inf')")
 
-    p = cmd("dichotomy", "constrained-cover yield across a dimension tower")
+    p = cmd("dichotomy", "constrained-cover yield across a dimension tower", _dichotomy)
     p.add_argument("--model", required=True, help="sequence model expression")
     p.add_argument("--m", required=True, type=int, help="number of interpolation constraints")
     p.add_argument("--dims", required=True, type=_dims, help="comma-separated dimensions, e.g. 4,8,16")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
-    p = cmd("solve-xay", "solve X A Y = B")
+    p = cmd("solve-xay", "solve X A Y = B", _solve_xay)
     p.add_argument("--a", required=True, help="matrix file for A")
     p.add_argument("--b", required=True, help="matrix file for B")
     p.add_argument("--out-x", help="write X to this matrix file")
     p.add_argument("--out-y", help="write Y to this matrix file")
 
-    p = cmd("factor", "exact factorization X Y = B through a doubled space")
+    p = cmd("factor", "exact factorization X Y = B through a doubled space", _factor)
     p.add_argument("--b", required=True, help="matrix file for B")
     p.add_argument("--out-x", help="write X to this matrix file")
     p.add_argument("--out-y", help="write Y to this matrix file")
 
-    p = cmd("match-inv", "invertible V matching vector constraints on V and V^-1")
+    p = cmd("match-inv", "invertible V matching vector constraints on V and V^-1", _match_inv)
     p.add_argument("--xs", required=True, help="constraint vectors for V, as matrix columns")
     p.add_argument("--xs-target", required=True, help="target vectors for V, as matrix columns")
     p.add_argument("--ys", required=True, help="constraint vectors for V^-1, as matrix columns")
@@ -198,165 +213,164 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--out", help="write V to this matrix file")
 
-    p = cmd("separate", "projection keeping a family of operators independent in trace duality")
+    p = cmd("separate", "projection keeping a family of operators independent in trace duality", _separate)
     p.add_argument("matrices", nargs="+", help="operator matrix files")
     p.add_argument("--out", help="write the projection to this matrix file")
 
-    p = cmd("expanding", "does T expand the seminorm x -> ||A x||?")
+    p = cmd("expanding", "does T expand the seminorm x -> ||A x||?", _expanding)
     p.add_argument("--t", required=True, help="matrix file for T")
     p.add_argument("--a", required=True, help="matrix file for A")
     p.add_argument("--tol", type=float, default=1e-9, help="PSD slack (default 1e-9)")
     p.add_argument("--dual-check", action="store_true", help="also run the transposed covering cross-check")
 
-    p = cmd("classify-we", "closure of the expanding set from the s-number model of A")
+    p = cmd("classify-we", "closure of the expanding set from the s-number model of A", _classify_we)
     p.add_argument("--model", required=True, help="s-number model of A")
     p.add_argument("--kernel-trivial", action="store_true", help="assert ker A = {0} (default: nontrivial)")
 
-    p = cmd("rigid", "exhaustive rigidity certificate for the two-points-per-axis compact")
+    p = cmd("rigid", "exhaustive rigidity certificate for the two-points-per-axis compact", _rigid)
     p.add_argument("--spec", required=True, help="JSON file with fields n, alphas, betas")
     p.add_argument("--norm-bound", required=True, type=float, help="norm cap for admissible covers")
 
     return top
 
 
-def _run_command(args) -> None:
-    if args.command == "widths":
-        e = ellipsoid(read_matrix(args.matrix))
-        spec, widths = e.spectrum, kolmogorov_widths(e)
-        _emit(args,
-              {"s_numbers": spec.values, "widths": widths.values, "rank": spec.rank},
-              [f"s-numbers: {' '.join(_fmt(v) for v in spec.values)}",
-               f"widths:    {' '.join(_fmt(v) for v in widths.values)}",
-               f"rank:      {spec.rank}"])
+def _widths(args) -> None:
+    e = ellipsoid(read_matrix(args.matrix))
+    spec, widths = e.spectrum, kolmogorov_widths(e)
+    _emit(args, {"s_numbers": spec.values, "widths": widths.values, "rank": spec.rank},
+          [f"s-numbers: {' '.join(_fmt(v) for v in spec.values)}",
+           f"widths:    {' '.join(_fmt(v) for v in widths.values)}",
+           f"rank:      {spec.rank}"])
 
-    elif args.command == "section":
-        e = ellipsoid(read_matrix(args.matrix))
-        spec = section_spectrum(e, read_matrix(args.subspace))
-        _emit(args,
-              {"section_s_numbers": spec.values, "rank": spec.rank},
-              [f"section s-numbers: {' '.join(_fmt(v) for v in spec.values)}",
-               f"rank:              {spec.rank}"])
 
-    elif args.command == "classify-seq":
-        verdict = is_lacunary(parse_model(args.model), tau=args.tau, window=args.window)
-        _emit(args, verdict,
-              [f"lacunary:      {verdict.lacunary}",
-               f"witness ratio: {_fmt(verdict.witness_ratio)}",
-               f"exact:         {verdict.exact}"])
+def _section(args) -> None:
+    e = ellipsoid(read_matrix(args.matrix))
+    spec = section_spectrum(e, read_matrix(args.subspace))
+    _emit(args, {"section_s_numbers": spec.values, "rank": spec.rank},
+          [f"section s-numbers: {' '.join(_fmt(v) for v in spec.values)}",
+           f"rank:              {spec.rank}"])
 
-    elif args.command == "cover-test":
-        cert = covers(read_matrix(args.t), ellipsoid(read_matrix(args.e1)),
-                      ellipsoid(read_matrix(args.e2)), tol=args.tol)
-        _emit(args, cert,
-              [f"covers:     {cert.holds}",
-               f"psd margin: {_fmt(cert.psd_margin)}"]
-              + ([f"norm:       {_fmt(cert.norm)}"] if cert.norm is not None else []))
 
-    elif args.command == "cover-make":
-        d, c = schmidt_cover(ellipsoid(read_matrix(args.e1)), ellipsoid(read_matrix(args.e2)))
-        if args.out:
-            write_matrix(args.out, d)
-        _emit(args, {"norm": c, "operator": d},
-              [f"norm: {_fmt(c)}"] + ([f"operator written to {args.out}"] if args.out else []))
+def _classify_seq(args) -> None:
+    verdict = is_lacunary(parse_model(args.model), tau=args.tau, window=args.window)
+    _emit(args, verdict,
+          [f"lacunary:      {verdict.lacunary}",
+           f"witness ratio: {_fmt(verdict.witness_ratio)}",
+           f"exact:         {verdict.exact}"])
 
-    elif args.command in ("classify-wg", "classify-wcg"):
-        classify = classify_WG if args.command == "classify-wg" else classify_WCG
-        verdict = classify(parse_model(args.a), parse_model(args.b), k_max=args.k_max)
-        _emit(args, verdict, [_tag_line(verdict)])
 
-    elif args.command == "range-equiv":
-        eq = range_equiv(read_matrix(args.matrix1), read_matrix(args.matrix2))
-        lines = [f"same range: {eq.same_range}"]
-        if eq.same_range:
-            lines.append(f"c: {_fmt(eq.c)}  C: {_fmt(eq.C)}")
-        _emit(args, eq, lines)
+def _cover_test(args) -> None:
+    cert = covers(read_matrix(args.t), ellipsoid(read_matrix(args.e1)),
+                  ellipsoid(read_matrix(args.e2)), tol=args.tol)
+    _emit(args, cert,
+          [f"covers:     {cert.holds}",
+           f"psd margin: {_fmt(cert.psd_margin)}"]
+          + ([f"norm:       {_fmt(cert.norm)}"] if cert.norm is not None else []))
 
-    elif args.command == "weakly-full":
-        verdict = is_weakly_full(parse_model(args.model), args.codim)
-        _emit(args, verdict,
-              [f"weakly full: {verdict.weakly_full}",
-               f"case:        {verdict.case}"])
 
-    elif args.command == "dichotomy":
-        report = wot_density_experiment(parse_model(args.model), args.m, args.dims, args.seed)
-        lines = ["dim  rho"] + [f"{d:<4d} {_fmt(r)}" for d, r in zip(report.dims, report.rho)]
-        lines.append(f"model lacunary: {report.model_lacunary}")
-        _emit(args, report, lines)
+def _cover_make(args) -> None:
+    d, c = schmidt_cover(ellipsoid(read_matrix(args.e1)), ellipsoid(read_matrix(args.e2)))
+    if args.out:
+        write_matrix(args.out, d)
+    _emit(args, {"norm": c, "operator": d},
+          [f"norm: {_fmt(c)}"] + ([f"operator written to {args.out}"] if args.out else []))
 
-    elif args.command == "solve-xay":
-        pair = solve_xay(read_matrix(args.a), read_matrix(args.b))
-        if args.out_x:
-            write_matrix(args.out_x, np.asarray(pair.X))
-        if args.out_y:
-            write_matrix(args.out_y, np.asarray(pair.Y))
-        _emit(args, {"residual": pair.residual, "X": pair.X, "Y": pair.Y},
-              [f"residual: {_fmt(pair.residual)}"])
 
-    elif args.command == "factor":
-        pair = factor_pair(read_matrix(args.b))
-        if args.out_x:
-            write_matrix(args.out_x, np.asarray(pair.X))
-        if args.out_y:
-            write_matrix(args.out_y, np.asarray(pair.Y))
-        _emit(args, {"residual": pair.residual, "X": pair.X, "Y": pair.Y},
-              [f"residual: {_fmt(pair.residual)}"])
+def _classify_wg(args, strict=False) -> None:
+    classify = classify_WCG if strict else classify_WG
+    verdict = classify(parse_model(args.a), parse_model(args.b), k_max=args.k_max)
+    _emit(args, verdict, [_tag_line(verdict)])
 
-    elif args.command == "match-inv":
-        cert = match_invertible(_columns_of(args.xs), _columns_of(args.xs_target),
-                                _columns_of(args.ys), _columns_of(args.ys_target),
-                                eps=args.eps, seed=args.seed)
-        if args.out:
-            write_matrix(args.out, np.asarray(cert.operator))
-        _emit(args, cert,
-              [f"condition:   {_fmt(cert.condition)}",
-               f"x residuals: {' '.join(_fmt(r) for r in cert.x_residuals)}",
-               f"y residuals: {' '.join(_fmt(r) for r in cert.y_residuals)}"])
 
-    elif args.command == "separate":
-        p = find_separating_projection([read_matrix(f) for f in args.matrices])
-        if args.out:
-            write_matrix(args.out, p)
-        _emit(args, {"projection": p, "rank": int(round(np.trace(p)))},
-              [f"projection rank: {int(round(np.trace(p)))}"])
+def _classify_wcg(args) -> None:
+    _classify_wg(args, strict=True)
 
-    elif args.command == "expanding":
-        t, a = read_matrix(args.t), read_matrix(args.a)
-        verdict = is_expanding(t, a, tol=args.tol)
-        payload = {"expanding": verdict.expanding, "margin": verdict.margin}
-        lines = [f"expanding: {verdict.expanding}", f"margin:    {_fmt(verdict.margin)}"]
-        if args.dual_check:
-            agree = expanding_dual_check(t, a)
-            payload["dual_agreement"] = agree
-            lines.append(f"dual agreement: {agree}")
-        _emit(args, payload, lines)
 
-    elif args.command == "classify-we":
-        verdict = classify_WE(parse_model(args.model), kernel_trivial=args.kernel_trivial)
-        _emit(args, verdict, [_tag_line(verdict)] + ([verdict.note] if verdict.note else []))
+def _range_equiv(args) -> None:
+    eq = range_equiv(read_matrix(args.matrix1), read_matrix(args.matrix2))
+    lines = [f"same range: {eq.same_range}"]
+    if eq.same_range:
+        lines.append(f"c: {_fmt(eq.c)}  C: {_fmt(eq.C)}")
+    _emit(args, eq, lines)
 
-    elif args.command == "rigid":
-        try:
-            with open(args.spec, "r", encoding="ascii") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"{args.spec}: cannot read: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.spec}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        try:
-            spec = RigidCompactSpec(n=int(raw["n"]), alphas=tuple(raw["alphas"]),
-                                    betas=tuple(raw["betas"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"{args.spec}: expected fields n, alphas, betas ({exc})") from None
-        report = rigid_cover_search(spec, norm_bound=args.norm_bound)
-        _emit(args, report,
-              [f"identity only:   {report.identity_only}",
-               f"admissible maps: {report.admissible_maps}",
-               f"norm threshold:  {_fmt(report.max_norm_bound)}",
-               f"edge graph:      out-degree min {report.edge_graph_stats.out_degree_min}, "
-               f"in-degree max {report.edge_graph_stats.in_degree_max}"])
 
-    else:  # pragma: no cover - argparse enforces the choice
-        raise InputError(f"unknown command {args.command!r}")
+def _weakly_full(args) -> None:
+    verdict = is_weakly_full(parse_model(args.model), args.codim)
+    _emit(args, verdict,
+          [f"weakly full: {verdict.weakly_full}",
+           f"case:        {verdict.case}"])
+
+
+def _dichotomy(args) -> None:
+    report = wot_density_experiment(parse_model(args.model), args.m, args.dims, args.seed)
+    lines = ["dim  rho"] + [f"{d:<4d} {_fmt(r)}" for d, r in zip(report.dims, report.rho)]
+    lines.append(f"model lacunary: {report.model_lacunary}")
+    _emit(args, report, lines)
+
+
+def _emit_pair(args, pair) -> None:
+    """Write the factors of a solved pair where asked, then report it."""
+    if args.out_x:
+        write_matrix(args.out_x, pair.X)
+    if args.out_y:
+        write_matrix(args.out_y, pair.Y)
+    _emit(args, {"residual": pair.residual, "X": pair.X, "Y": pair.Y},
+          [f"residual: {_fmt(pair.residual)}"])
+
+
+def _solve_xay(args) -> None:
+    _emit_pair(args, solve_xay(read_matrix(args.a), read_matrix(args.b)))
+
+
+def _factor(args) -> None:
+    _emit_pair(args, factor_pair(read_matrix(args.b)))
+
+
+def _match_inv(args) -> None:
+    cert = match_invertible(read_matrix(args.xs).T, read_matrix(args.xs_target).T,
+                            read_matrix(args.ys).T, read_matrix(args.ys_target).T,
+                            eps=args.eps, seed=args.seed)
+    if args.out:
+        write_matrix(args.out, cert.operator)
+    _emit(args, cert,
+          [f"condition:   {_fmt(cert.condition)}",
+           f"x residuals: {' '.join(_fmt(r) for r in cert.x_residuals)}",
+           f"y residuals: {' '.join(_fmt(r) for r in cert.y_residuals)}"])
+
+
+def _separate(args) -> None:
+    p = find_separating_projection([read_matrix(f) for f in args.matrices])
+    if args.out:
+        write_matrix(args.out, p)
+    rank = int(round(np.trace(p)))
+    _emit(args, {"projection": p, "rank": rank}, [f"projection rank: {rank}"])
+
+
+def _expanding(args) -> None:
+    t, a = read_matrix(args.t), read_matrix(args.a)
+    verdict = is_expanding(t, a, tol=args.tol)
+    payload = {"expanding": verdict.expanding, "margin": verdict.margin}
+    lines = [f"expanding: {verdict.expanding}", f"margin:    {_fmt(verdict.margin)}"]
+    if args.dual_check:
+        agree = expanding_dual_check(t, a)
+        payload["dual_agreement"] = agree
+        lines.append(f"dual agreement: {agree}")
+    _emit(args, payload, lines)
+
+
+def _classify_we(args) -> None:
+    verdict = classify_WE(parse_model(args.model), kernel_trivial=args.kernel_trivial)
+    _emit(args, verdict, [_tag_line(verdict)] + ([verdict.note] if verdict.note else []))
+
+
+def _rigid(args) -> None:
+    report = rigid_cover_search(_read_rigid_spec(args.spec), norm_bound=args.norm_bound)
+    _emit(args, report,
+          [f"identity only:   {report.identity_only}",
+           f"admissible maps: {report.admissible_maps}",
+           f"norm threshold:  {_fmt(report.max_norm_bound)}",
+           f"edge graph:      out-degree min {report.edge_graph_stats.out_degree_min}, "
+           f"in-degree max {report.edge_graph_stats.in_degree_max}"])
 
 
 def run(argv) -> int:
@@ -364,7 +378,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _run_command(args)
+        args.handler(args)
         return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -290,9 +290,9 @@ def classify_WG(a: SequenceModel, b: SequenceModel, k_max: int = 16) -> Classifi
     algebra: Everything for non-lacunary sequences, AlgebraAK for lacunary
     ones.
 
-    ``k_max`` is the search budget for sampled models; on the exact
-    parametric branch the shift gap is derived in closed form and the
-    reported ``k`` may exceed it.
+    ``k_max`` is the search budget for sampled models and must be
+    nonnegative on either branch; on the exact parametric branch the shift
+    gap is derived in closed form and the reported ``k`` may exceed it.
     """
     return _classify(a, b, k_max, strict=False)
 

@@ -48,12 +48,10 @@ def expanding_dual_check(t, a) -> bool:
     Both sides evaluate the same matrix inequality through different code
     paths, so outside the round-off band this always returns True.
     """
-    t = _as_operator(t, "T")
-    a = _as_operator(a, "A")
-    if t.shape != a.shape or t.shape[0] != t.shape[1]:
-        raise InputError(f"T and A must be square of one size, got {t.shape} and {a.shape}")
+    expands = is_expanding(t, a).expanding  # validates T and A
+    t, a = np.asarray(t, dtype=float), np.asarray(a, dtype=float)
     e = ellipsoid(a.T)
-    return is_expanding(t, a).expanding == covers(t.T, e, e).holds
+    return expands == covers(t.T, e, e).holds
 
 
 def classify_WE(model: SequenceModel, kernel_trivial: bool) -> ClassificationVerdict:

@@ -70,5 +70,9 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
 
 
 def write_matrix(path: str | os.PathLike, a: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(a))
+    text = format_matrix(a)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from None

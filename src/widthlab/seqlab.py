@@ -459,6 +459,8 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = 
     Otherwise shifts ``1 .. k_max`` are tested in turn with the windowed
     surrogate, stopping at the first that fails.
     """
+    if k_max < 0:
+        raise InputError(f"shift budget must be nonnegative, got {k_max}")
     compare = strictly_majorizes if strict else majorizes
     base = compare(a, b, window=window)
     if not base.holds:
@@ -484,8 +486,6 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = 
 def max_majorizing_shift(a: SequenceModel, b: SequenceModel, k_max: int,
                          window: int = DEFAULT_WINDOW) -> ShiftClassification:
     """Largest ``k <= k_max`` whose left shift of ``a`` still majorizes ``b``."""
-    if k_max < 0:
-        raise InputError(f"shift budget must be nonnegative, got {k_max}")
     found = shift_search(a, b, k_max, window=window)
     if not found.base.holds:
         raise ClassificationError("not even k=0: the unshifted sequence does not majorize")

@@ -15,6 +15,10 @@ from widthlab.cli import run
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
+SUBCOMMANDS = ["widths", "section", "classify-seq", "cover-test", "cover-make", "classify-wg",
+               "classify-wcg", "range-equiv", "weakly-full", "dichotomy", "solve-xay", "factor",
+               "match-inv", "separate", "expanding", "classify-we", "rigid"]
+
 # Runs sys.argv[1] (a `module:function` target) the way a generated console
 # script does: the CLI arguments in sys.argv[1:], then sys.exit(func()).
 CONSOLE_SCRIPT_RUNNER = """\
@@ -84,6 +88,25 @@ class TestVerdictCommands:
         payload = json.loads(out)
         assert code == 0 and payload["expanding"] is True and payload["dual_agreement"] is True
 
+    def test_range_equiv(self, workdir, capsys):
+        code, out, _ = invoke(capsys, ["range-equiv", workdir / "A.mat", workdir / "T.mat"])
+        assert code == 0 and out == "same range: True\nc: 0.66666666666666663  C: 2\n"
+        code, out, _ = invoke(capsys, ["range-equiv", workdir / "A.mat", workdir / "B.mat", "--json"])
+        assert code == 0 and json.loads(out) == {"same_range": False, "c": None, "C": None}
+
+    def test_classify_we(self, capsys):
+        code, out, _ = invoke(capsys, ["classify-we", "--model", "supergeom(2)"])
+        assert code == 0 and out == "AlgebraAK\noperators preserving ker A\n"
+        code, out, _ = invoke(capsys, ["classify-we", "--model", "geom(0.5)"])
+        assert code == 0 and out == "Everything\n"
+
+    def test_classify_we_kernel_trivial(self, capsys):
+        code, out, _ = invoke(capsys, ["classify-we", "--model", "supergeom(2)",
+                                       "--kernel-trivial", "--json"])
+        payload = json.loads(out)
+        assert code == 0 and (payload["tag"], payload["exact"]) == ("Everything", True)
+        assert payload["note"] == "lacunary, but a trivial kernel collapses the invariance condition"
+
     def test_weakly_full(self, capsys):
         code, out, _ = invoke(capsys, ["weakly-full", "--model", "supergeom(2)", "--codim", "inf"])
         assert code == 0 and "weakly full: True" in out
@@ -143,6 +166,16 @@ class TestFileOutputs:
         b = read_matrix(workdir / "B.mat")
         np.testing.assert_allclose(x @ a @ y, b, atol=1e-10)
 
+    def test_factor_round_trip_is_exact(self, tmp_path, capsys):
+        b = np.random.default_rng(11).normal(size=(5, 5))
+        write_matrix(tmp_path / "B.mat", b)
+        code, out, _ = invoke(capsys, ["factor", "--b", tmp_path / "B.mat",
+                                       "--out-x", tmp_path / "X.mat", "--out-y", tmp_path / "Y.mat"])
+        assert code == 0 and out == "residual: 0\n"
+        x, y = read_matrix(tmp_path / "X.mat"), read_matrix(tmp_path / "Y.mat")
+        assert x.shape == (5, 10) and y.shape == (10, 5)
+        assert np.array_equal(x @ y, b)
+
     def test_separate(self, tmp_path, capsys):
         t1 = np.zeros((2, 2)); t1[0, 0] = 1.0
         t2 = np.zeros((2, 2)); t2[1, 1] = 1.0
@@ -192,6 +225,42 @@ class TestDeterminismAndRoundTrip:
 
 
 class TestErrorPaths:
+    def test_help_lists_every_subcommand_in_order(self, capsys):
+        code, out, _ = invoke(capsys, ["--help"])
+        assert code == 0
+        assert out[out.index("{") + 1:out.index("}")].split(",") == SUBCOMMANDS
+
+    @pytest.mark.parametrize("argv", [
+        ["classify-wg", "--a", "samples(1,.5,.25)", "--b", "samples(1,.5,.25)", "--k-max", "-1"],
+        ["classify-wcg", "--a", "geom(0.5)", "--b", "geom(0.25)", "--k-max", "-5"],
+    ])
+    def test_negative_k_max_is_input_error(self, argv, capsys):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1 and out == "" and "shift budget must be nonnegative" in err
+
+    def test_unwritable_output_is_input_error(self, workdir, capsys):
+        target = workdir / "no-such-dir" / "X.mat"
+        for argv in (["factor", "--b", workdir / "B.mat"],
+                     ["solve-xay", "--a", workdir / "A.mat", "--b", workdir / "B.mat"]):
+            code, out, err = invoke(capsys, argv + ["--out-x", target])
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {target}: cannot write: ")
+
+    @pytest.mark.parametrize("spec", [
+        {"n": 3.7, "alphas": "123", "betas": [0.6, 0.7, 0.8]},
+        {"n": True, "alphas": [1.0], "betas": [0.6]},
+        {"n": "3", "alphas": [1.0, 1e-1, 1e-3], "betas": [0.6, 0.7, 0.8]},
+        {"n": 3, "alphas": [1.0, 1e-1, "1e-3"], "betas": [0.6, 0.7, 0.8]},
+        {"n": 3, "alphas": [1.0, 1e-1, 1e-3], "betas": [0.6, 0.7, False]},
+        {"n": 1, "alphas": 1.0, "betas": [0.6]},
+    ])
+    def test_rigid_rejects_malformed_spec(self, tmp_path, spec, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = invoke(capsys, ["rigid", "--spec", path, "--norm-bound", "10"])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: n must be an integer, alphas and betas arrays of numbers\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = invoke(capsys, ["widths", "no-such-file.mat"])
         assert code == 1 and "no-such-file.mat" in err

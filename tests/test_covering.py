@@ -301,6 +301,15 @@ class TestClassification:
         assert v.note == "every tested shift up to 2 passed"
         assert max_majorizing_shift(a, a, 16).exhausted_at == 2
 
+    @pytest.mark.parametrize("classify", [classify_WG, classify_WCG])
+    @pytest.mark.parametrize("a, b", [
+        (Geometric(0.5), Geometric(0.25)),                       # closed-form branch
+        (Samples((1.0, 0.5, 0.25)), Samples((1.0, 0.5, 0.25))),  # windowed branch
+    ])
+    def test_negative_shift_budget_is_rejected(self, classify, a, b):
+        with pytest.raises(InputError, match="shift budget must be nonnegative, got -1"):
+            classify(a, b, k_max=-1)
+
 
 class TestSeparatingProjection:
     def test_matrix_units_need_full_rank(self):

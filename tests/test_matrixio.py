@@ -38,3 +38,9 @@ def test_parse_rejects_non_finite():
 def test_missing_file_names_path(tmp_path):
     with pytest.raises(InputError, match="nope.mat"):
         read_matrix(tmp_path / "nope.mat")
+
+
+def test_unwritable_path_is_input_error(tmp_path):
+    path = tmp_path / "no-such-dir" / "a.mat"
+    with pytest.raises(InputError, match=r"no-such-dir.*: cannot write: "):
+        write_matrix(path, np.eye(2))

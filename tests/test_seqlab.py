@@ -183,6 +183,10 @@ class TestShiftClassification:
         with pytest.raises(ClassificationError, match="not even k=0"):
             max_majorizing_shift(Geometric(0.25), Geometric(0.5), 5)
 
+    def test_negative_budget(self):
+        with pytest.raises(InputError, match="shift budget must be nonnegative, got -2"):
+            max_majorizing_shift(Geometric(0.5), Geometric(0.5), -2)
+
     def test_shift_monotonicity(self):
         # if shift k+1 majorizes then shift k does: scan the grid
         for a in GRID:
