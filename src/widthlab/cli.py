@@ -21,6 +21,9 @@ import sys
 import numpy as np
 
 from . import (
+    DEFAULT_WINDOW,
+    PSD_TOL,
+    RATIO_THRESHOLD,
     ClassificationError,
     InfeasibleError,
     InputError,
@@ -156,14 +159,14 @@ def _build_parser() -> _ArgumentParser:
 
     p = cmd("classify-seq", "lacunarity verdict for a sequence model", _classify_seq)
     p.add_argument("--model", required=True, help="sequence model expression")
-    p.add_argument("--tau", type=float, default=1e-3, help="windowed ratio threshold (default 1e-3)")
-    p.add_argument("--window", type=int, default=64, help="surrogate window length (default 64)")
+    p.add_argument("--tau", type=float, default=RATIO_THRESHOLD, help="windowed ratio threshold (default %(default)s)")
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="surrogate window length (default %(default)s)")
 
     p = cmd("cover-test", "does T map one ellipsoid over another?", _cover_test)
     p.add_argument("--t", required=True, help="operator matrix file")
     p.add_argument("--e1", required=True, help="source generator file")
     p.add_argument("--e2", required=True, help="target generator file")
-    p.add_argument("--tol", type=float, default=1e-9, help="PSD slack (default 1e-9)")
+    p.add_argument("--tol", type=float, default=PSD_TOL, help="PSD slack (default %(default)s)")
 
     p = cmd("cover-make", "minimal-norm covering operator between ellipsoids", _cover_make)
     p.add_argument("--e1", required=True, help="source generator file")
@@ -220,7 +223,7 @@ def _build_parser() -> _ArgumentParser:
     p = cmd("expanding", "does T expand the seminorm x -> ||A x||?", _expanding)
     p.add_argument("--t", required=True, help="matrix file for T")
     p.add_argument("--a", required=True, help="matrix file for A")
-    p.add_argument("--tol", type=float, default=1e-9, help="PSD slack (default 1e-9)")
+    p.add_argument("--tol", type=float, default=PSD_TOL, help="PSD slack (default %(default)s)")
     p.add_argument("--dual-check", action="store_true", help="also run the transposed covering cross-check")
 
     p = cmd("classify-we", "closure of the expanding set from the s-number model of A", _classify_we)

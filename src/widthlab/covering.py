@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import psd_margin, rank_from_values
+from ._linalg import psd_margin, rank, rank_from_values
 from .errors import InputError, NotCoverableError, WidthlabError
+from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
 from .seqlab import (
     LacunarityVerdict,
     SequenceModel,
@@ -27,8 +28,6 @@ from .seqlab import (
 )
 from .spectra import (
     Ellipsoid,
-    _as_operator,
-    _check_orthonormal_columns,
     ellipsoid,
     nullspace_basis,
     scale_ellipsoid,
@@ -145,7 +144,8 @@ class WeakFullnessVerdict:
 
 def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertificate:
     """Does ``T K1 ⊇ K2``?  Deterministic PSD certificate with margin."""
-    t = _as_operator(t, "covering operator")
+    t = as_operator(t, "covering operator")
+    check_tolerance(tol)
     if t.shape != (e2.ambient_dim, e1.ambient_dim):
         raise InputError(
             f"covering operator must map dimension {e1.ambient_dim} to "
@@ -192,21 +192,15 @@ def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
     fraction ``rho = 1/C`` of the truncated target is the reported yield.
     """
     amb = e.ambient_dim
-    if y is None:
-        y = np.zeros((amb, 0))
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[0] != amb:
-        raise InputError(f"constraint subspace: expected shape ({amb}, m), got {y.shape}")
+    y = as_subspace(y, amb, "constraint subspace")
     m = y.shape[1]
     if m >= e.rank:
         raise InputError(f"constraint dimension {m} must stay below the rank {e.rank}")
-    if n is None:
-        n = np.zeros((amb, 0))
-    n = np.asarray(n, dtype=float)
+    n = np.zeros((amb, 0)) if n is None else np.asarray(n, dtype=float)
     if n.shape != (amb, m):
         raise InputError(f"prescribed images: expected shape ({amb}, {m}), got {n.shape}")
     if m:
-        _check_orthonormal_columns(y, "constraint subspace")
+        n = as_operator(n, "prescribed images")
 
     kernel = nullspace_basis(y.T @ e.generator, rcond=e.rcond)
     section = ellipsoid(e.generator @ kernel, rcond=e.rcond)
@@ -239,6 +233,7 @@ def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> Dic
     """
     if m < 0:
         raise InputError(f"constraint count must be nonnegative, got {m}")
+    check_seed(seed)
     dims = [int(d) for d in dims]
     if not dims:
         raise InputError("need at least one dimension")
@@ -326,13 +321,8 @@ def find_separating_projection(t_list) -> np.ndarray:
     the top singular directions of the inputs, one rank at a time; the rank
     found is minimal only in the best-effort sense.
     """
-    mats = [_as_operator(t, f"t_list[{i}]") for i, t in enumerate(t_list)]
-    if not mats:
-        raise InputError("need at least one operator")
-    shape = mats[0].shape
-    if shape[0] != shape[1] or any(t.shape != shape for t in mats):
-        raise InputError("operators must be square and share one shape")
-    d = shape[0]
+    mats = as_square([(f"t_list[{i}]", t) for i, t in enumerate(t_list)])
+    d = mats[0].shape[0]
     stacked = np.stack([t.reshape(-1) for t in mats])
     combos = nullspace_basis(stacked.T)
     if combos.shape[1]:
@@ -355,7 +345,7 @@ def find_separating_projection(t_list) -> np.ndarray:
         q = np.column_stack(q_cols)
         p = q @ q.T
         proj = np.stack([(p @ t).reshape(-1) for t in mats])
-        if np.linalg.matrix_rank(proj, tol=1e-10 * max(np.abs(proj).max(), 1e-300)) == len(mats):
+        if rank(proj) == len(mats):
             return p
     raise WidthlabError("internal: projection onto the joint range failed the rank test")
 
@@ -367,8 +357,8 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     """Compare column spaces; on success return the extreme two-sided
     scaling constants ``c K1 ⊆ K2 ⊆ C K1`` (generalized eigenvalues on the
     common range), each verified by the PSD certificate."""
-    a1 = _as_operator(a1, "first generator")
-    a2 = _as_operator(a2, "second generator")
+    a1 = as_operator(a1, "first generator")
+    a2 = as_operator(a2, "second generator")
     if a1.shape[0] != a2.shape[0]:
         raise InputError(
             f"generators must share the ambient dimension, got {a1.shape[0]} and {a2.shape[0]}"

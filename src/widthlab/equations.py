@@ -16,8 +16,9 @@ import numpy as np
 
 from ._linalg import rank, rank_from_values
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
+from .errors import as_columns, as_operator, as_square, check_positive, check_seed, frozen
 from .seqlab import MajorizationVerdict, SequenceModel, majorizes
-from .spectra import _as_operator, _freeze, nullspace_basis
+from .spectra import nullspace_basis
 
 __all__ = [
     "SolvabilityVerdict",
@@ -55,8 +56,8 @@ class SolutionPair:
     residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "X", _freeze(self.X))
-        object.__setattr__(self, "Y", _freeze(self.Y))
+        object.__setattr__(self, "X", frozen(self.X))
+        object.__setattr__(self, "Y", frozen(self.Y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,21 +74,13 @@ class MatchCertificate:
     y_residuals: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "operator", _freeze(self.operator))
-
-
-def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_operator(a, "A")
-    b = _as_operator(b, "B")
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise InputError(f"A and B must be square with equal shapes, got {a.shape} and {b.shape}")
-    return a, b
+        object.__setattr__(self, "operator", frozen(self.operator))
 
 
 def xay_solvable(a, b, a_model: SequenceModel | None = None,
                  b_model: SequenceModel | None = None) -> SolvabilityVerdict:
     """Decide solvability of ``X A Y = B`` (square operators on one space)."""
-    a, b = _square_pair(a, b)
+    a, b = as_square([("A", a), ("B", b)])
     ra, rb = rank(a), rank(b)
     asym = None
     if a_model is not None and b_model is not None:
@@ -104,7 +97,7 @@ def solve_xay(a, b) -> SolutionPair:
     and the square-root split balances the two factor norms.  The solution
     is not unique; this particular one is fixed for determinism.
     """
-    a, b = _square_pair(a, b)
+    a, b = as_square([("A", a), ("B", b)])
     ua, sa, vta = np.linalg.svd(a)
     ub, sb, vtb = np.linalg.svd(b)
     ra, r = rank_from_values(sa), rank_from_values(sb)
@@ -125,9 +118,9 @@ def solve_xay(a, b) -> SolutionPair:
 
 def first_component_member(x, a, b) -> bool:
     """Is ``X`` the first component of some solution: ``col(B) ⊆ col(X A)``?"""
-    x = _as_operator(x, "X")
-    a = _as_operator(a, "A")
-    b = _as_operator(b, "B")
+    x = as_operator(x, "X")
+    a = as_operator(a, "A")
+    b = as_operator(b, "B")
     if x.shape[1] != a.shape[0] or x.shape[0] != b.shape[0]:
         raise InputError("shape mismatch between X, A and B")
     xa = x @ a
@@ -143,28 +136,13 @@ def factor_pair(b) -> SolutionPair:
     exactly, ``X`` has full row rank and ``Y`` has no kernel, which is what
     the invertible-twist family ``(X V^{-1}, V Y)`` needs.
     """
-    b = _as_operator(b, "B")
-    if b.shape[0] != b.shape[1]:
-        raise InputError(f"B must be square, got {b.shape}")
+    (b,) = as_square([("B", b)])
     d = b.shape[0]
     eye = np.eye(d)
     y = np.vstack([eye, np.zeros((d, d))])
     x = np.hstack([b, eye])
     residual = float(np.linalg.norm(x @ y - b) / (1.0 + np.linalg.norm(b)))
     return SolutionPair(x, y, residual)
-
-
-def _columns(vectors, dim: int | None, name: str) -> np.ndarray:
-    arrs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    if not arrs:
-        return np.zeros((dim or 0, 0))
-    d = arrs[0].size if dim is None else dim
-    for i, v in enumerate(arrs):
-        if v.size != d:
-            raise InputError(f"{name}[{i}]: expected length {d}, got {v.size}")
-        if not np.all(np.isfinite(v)):
-            raise InputError(f"{name}[{i}]: entries must be finite")
-    return np.column_stack(arrs)
 
 
 def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray,
@@ -197,15 +175,15 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
     bijection between the two orthogonal complements completes it to an
     invertible operator.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise InputError(f"eps must be positive, got {eps}")
-    x = _columns(xs, None, "xs")
+    check_positive(eps, "eps")
+    check_seed(seed)
+    x = as_columns(xs, None, "xs")
     if x.shape[1] == 0:
         raise InputError("xs must be nonempty")
     d = x.shape[0]
-    xt = _columns(xs_target, d, "xs_target")
-    yv = _columns(ys, d, "ys")
-    yt = _columns(ys_target, d, "ys_target")
+    xt = as_columns(xs_target, d, "xs_target")
+    yv = as_columns(ys, d, "ys")
+    yt = as_columns(ys_target, d, "ys_target")
     n, m = x.shape[1], yv.shape[1]
     if xt.shape[1] != n or yt.shape[1] != m or m == 0:
         raise InputError("xs/xs_target and ys/ys_target must pair up and be nonempty")
@@ -281,17 +259,12 @@ def approx_factorization(b, x0, y0, test_vectors, eps: float,
     ``||(X V^{-1} U1 - X0) v|| < eps`` for every test vector ``v`` (``U1``
     embeds the original space as the first internal summand).
     """
-    b = _as_operator(b, "B")
+    b, x0, y0 = as_square([("B", b), ("X target", x0), ("Y target", y0)])
     d = b.shape[0]
-    x0 = _as_operator(x0, "X target")
-    y0 = _as_operator(y0, "Y target")
-    if b.shape != (d, d) or x0.shape != (d, d) or y0.shape != (d, d):
-        raise InputError("B and both targets must be square of one size")
-    vmat = _columns(test_vectors, d, "test_vectors")
+    vmat = as_columns(test_vectors, d, "test_vectors")
     if vmat.shape[1] == 0:
         raise InputError("need at least one test vector")
-    if not (np.isfinite(eps) and eps > 0):
-        raise InputError(f"eps must be positive, got {eps}")
+    check_positive(eps, "eps")
 
     pair = factor_pair(b)
     x, y = np.asarray(pair.X), np.asarray(pair.Y)

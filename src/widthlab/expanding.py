@@ -14,9 +14,9 @@ import numpy as np
 
 from ._linalg import psd_margin
 from .covering import ALGEBRA_AK, EVERYTHING, PSD_TOL, ClassificationVerdict, covers
-from .errors import InputError
+from .errors import as_square, check_tolerance
 from .seqlab import SequenceModel, is_lacunary
-from .spectra import _as_operator, ellipsoid
+from .spectra import ellipsoid
 
 __all__ = ["ExpandVerdict", "is_expanding", "expanding_dual_check", "classify_WE"]
 
@@ -33,10 +33,8 @@ class ExpandVerdict:
 
 def is_expanding(t, a, tol: float = PSD_TOL) -> ExpandVerdict:
     """Does ``T`` expand the seminorm ``x -> ||A x||``?"""
-    t = _as_operator(t, "T")
-    a = _as_operator(a, "A")
-    if t.shape != a.shape or t.shape[0] != t.shape[1]:
-        raise InputError(f"T and A must be square of one size, got {t.shape} and {a.shape}")
+    t, a = as_square([("T", t), ("A", a)])
+    check_tolerance(tol)
     at = a @ t
     margin = psd_margin(at.T @ at, a.T @ a, np.linalg.norm(at, 2), np.linalg.norm(a, 2))
     return ExpandVerdict(margin >= -tol, margin)
@@ -49,9 +47,8 @@ def expanding_dual_check(t, a) -> bool:
     paths, so outside the round-off band this always returns True.
     """
     expands = is_expanding(t, a).expanding  # validates T and A
-    t, a = np.asarray(t, dtype=float), np.asarray(a, dtype=float)
-    e = ellipsoid(a.T)
-    return expands == covers(t.T, e, e).holds
+    e = ellipsoid(np.transpose(a))
+    return expands == covers(np.transpose(t), e, e).holds
 
 
 def classify_WE(model: SequenceModel, kernel_trivial: bool) -> ClassificationVerdict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationError, InputError
+from .errors import ClassificationError, InputError, check_positive
 
 __all__ = [
     "SequenceModel",
@@ -146,8 +146,7 @@ class Scaled(SequenceModel):
     inner: SequenceModel
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise InputError(f"scale must be a positive finite number, got {self.c}")
+        check_positive(self.c, "scale")
 
     def term(self, i: int) -> float:
         return self.c * self.inner.term(i)
@@ -396,6 +395,7 @@ def _is_parametric(c: _Canon) -> bool:
 def is_lacunary(model: SequenceModel, tau: float = RATIO_THRESHOLD,
                 window: int = DEFAULT_WINDOW) -> LacunarityVerdict:
     """Exact for parametric families; windowed ratio scan for samples."""
+    check_positive(tau, "tau")
     c = _canon(model)
     if c.kind == _GEOM:
         return LacunarityVerdict(False, c.param, True)
@@ -439,6 +439,7 @@ def strictly_majorizes(a: SequenceModel, b: SequenceModel,
     ratio maximum over the last quarter of the window must fall below
     ``tau`` times the window maximum.
     """
+    check_positive(tau, "tau")
     ca, cb = _canon(a), _canon(b)
     if _is_parametric(ca) and _is_parametric(cb):
         prof = _profile(ca, cb)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import RANK_RCOND, rank_from_values
-from .errors import InputError
+from .errors import InputError, as_columns, as_operator, as_subspace, check_positive, check_tolerance, frozen
 
 __all__ = [
     "RANK_RCOND",
@@ -33,45 +33,6 @@ __all__ = [
     "scale_ellipsoid",
     "ellipsoid_membership",
 ]
-
-# Orthonormality slack accepted for subspace bases.
-ORTHO_TOL = 1e-9
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
-
-
-def _as_operator(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a dense 2-d float array."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise InputError(f"{name}: expected a 2-d array, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InputError(f"{name}: dimensions must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name}: entries must be finite")
-    return arr
-
-
-def _as_vector(y, dim: int, name: str = "vector") -> np.ndarray:
-    v = np.asarray(y, dtype=float).reshape(-1)
-    if v.shape[0] != dim:
-        raise InputError(f"{name}: expected length {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise InputError(f"{name}: entries must be finite")
-    return v
-
-
-def _check_orthonormal_columns(q: np.ndarray, name: str) -> None:
-    if q.shape[1] == 0:
-        return
-    gram = q.T @ q
-    if np.max(np.abs(gram - np.eye(q.shape[1]))) > ORTHO_TOL:
-        raise InputError(f"{name}: columns are not orthonormal (tolerance {ORTHO_TOL:g})")
-
 
 def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns.
@@ -118,7 +79,7 @@ class SingularSpectrum:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=float).reshape(-1)))
+        object.__setattr__(self, "values", frozen(np.asarray(self.values, dtype=float).reshape(-1)))
         v = self.values
         if v.size and (np.any(v < 0) or np.any(np.diff(v) > 0)):
             raise InputError("singular spectrum must be nonnegative and nonincreasing")
@@ -142,7 +103,7 @@ class WidthSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=float).reshape(-1)))
+        object.__setattr__(self, "values", frozen(np.asarray(self.values, dtype=float).reshape(-1)))
         v = self.values
         if v.size and (np.any(v < 0) or np.any(np.diff(v) > 0)):
             raise InputError("width sequence must be nonnegative and nonincreasing")
@@ -174,10 +135,10 @@ class Ellipsoid:
     rcond: float = RANK_RCOND
 
     def __post_init__(self):
-        object.__setattr__(self, "generator", _freeze(self.generator))
-        object.__setattr__(self, "span_basis", _freeze(self.span_basis))
-        object.__setattr__(self, "right_basis", _freeze(self.right_basis))
-        _check_orthonormal_columns(self.span_basis, "span_basis")
+        object.__setattr__(self, "generator", frozen(self.generator))
+        span = as_subspace(self.span_basis, self.generator.shape[0], "span_basis")
+        object.__setattr__(self, "span_basis", frozen(span))
+        object.__setattr__(self, "right_basis", frozen(self.right_basis))
         if self.span_basis.shape[1] != self.spectrum.rank:
             raise InputError("span dimension must equal the spectrum rank")
 
@@ -196,14 +157,14 @@ class Ellipsoid:
 
 def singular_spectrum(a, rcond: float = RANK_RCOND) -> SingularSpectrum:
     """Singular values of ``a`` in nonincreasing order, with rank cutoff."""
-    arr = _as_operator(a)
+    arr = as_operator(a)
     values = np.linalg.svd(arr, compute_uv=False)
     return SingularSpectrum(values=values, rank=rank_from_values(values, rcond))
 
 
 def ellipsoid(a, rcond: float = RANK_RCOND) -> Ellipsoid:
     """Build the ellipsoid ``a(B)`` with its SVD data cached."""
-    arr = _as_operator(a, "generator")
+    arr = as_operator(a, "generator")
     u, sv, vh = np.linalg.svd(arr, full_matrices=False)
     rank = rank_from_values(sv, rcond)
     return Ellipsoid(
@@ -237,18 +198,9 @@ def section_spectrum(e: Ellipsoid, y) -> SingularSpectrum:
     basis.  They interlace: ``s_{n+m}(A) <= sigma_n <= s_n(A)`` for a
     section of codimension ``m``.
     """
-    if y is None:
-        y = np.zeros((e.ambient_dim, 0))
-    yarr = np.asarray(y, dtype=float)
-    if yarr.ndim != 2 or yarr.shape[0] != e.ambient_dim:
-        raise InputError(
-            f"section subspace: expected shape ({e.ambient_dim}, m), got {yarr.shape}"
-        )
+    yarr = as_subspace(y, e.ambient_dim, "section subspace")
     if yarr.shape[1] == 0:
         return e.spectrum
-    if not np.all(np.isfinite(yarr)):
-        raise InputError("section subspace: entries must be finite")
-    _check_orthonormal_columns(yarr, "section subspace")
     kernel = nullspace_basis(yarr.T @ e.generator, rcond=e.rcond)
     if kernel.shape[1] == 0:
         return SingularSpectrum(values=np.zeros(0), rank=0)
@@ -278,8 +230,7 @@ def truncate_ellipsoid(e: Ellipsoid, r: int) -> Ellipsoid:
 
 def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
     """The ellipsoid ``c * K``, generated by ``c`` times the generator."""
-    if not (np.isfinite(c) and c > 0):
-        raise InputError(f"scale must be a positive finite number, got {c}")
+    check_positive(c, "scale")
     return Ellipsoid(
         generator=c * e.generator,
         spectrum=SingularSpectrum(values=c * e.spectrum.values, rank=e.rank),
@@ -295,7 +246,8 @@ def ellipsoid_membership(e: Ellipsoid, y, tol: float = 1e-9) -> bool:
     Checks that ``y`` sits in the column space of the generator and that the
     minimum-norm preimage has norm at most ``1 + tol``.
     """
-    v = _as_vector(y, e.ambient_dim, "point")
+    check_tolerance(tol)
+    v = as_columns([y], e.ambient_dim, "point")[:, 0]
     norm_y = float(np.linalg.norm(v))
     if norm_y == 0.0:
         return True

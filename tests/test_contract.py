@@ -1,0 +1,115 @@
+"""The input contract as a whole: no argv makes the CLI exit 2, and no
+module imports another module's private names."""
+
+import ast
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from widthlab import write_matrix
+from widthlab.cli import run
+
+from test_cli import SUBCOMMANDS
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "widthlab"
+
+# Hostile option values; the huge integers only go to options that do not
+# size the work (a large --dims, --k-max or --window is valid, just slow).
+HOSTILE = ["-1", "nan", "inf", "0", "", "-inf", "1e400", "-0.5", "x", "-nan", str(10 ** 30)]
+SIZED = {"--dims": ["8,16", "64", "3,64", "5"], "--k-max": ["16", "1000", "1"],
+         "--window": ["64", "1000", "1"]}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    mats = {"A": np.diag([3.0, 2.0, 1.0]), "T": 2 * np.eye(3), "Z": np.zeros((3, 3)),
+            "R": np.arange(6.0).reshape(2, 3), "Y": np.array([[1.0, 0.0, 0.0]]).T,
+            "X1": np.array([[1.0, 0.0, 0.0, 0.0]]), "X2": np.array([[0.0, 1.0, 0.0, 0.0]])}
+    for name, m in mats.items():
+        write_matrix(d / f"{name}.mat", m)
+    specs = {"good": {"n": 3, "alphas": [1.0, 1e-1, 1e-3], "betas": [0.6, 0.7, 0.8]},
+             "short": {"n": 3, "alphas": [1.0], "betas": [0.6]}}
+    for name, spec in specs.items():
+        (d / f"{name}.json").write_text(json.dumps(spec))
+    return d
+
+
+def command_table(d: Path) -> dict:
+    """Per subcommand: positional candidates, then option -> candidate values
+    (the first candidate is valid)."""
+    mat = [str(d / f"{n}.mat") for n in ("A", "T", "Z", "R", "Y", "X1", "X2")]
+    spec = [str(d / "good.json"), str(d / "short.json")]
+    model = ["geom(0.5)", "samples(1,1e-5,1e-6)", "supergeom(2)", "pow(1)", "samples(1,0.5)"]
+    wg = {"--a": model, "--b": model, "--k-max": None}
+    return {
+        "widths": ([mat], {}),
+        "section": ([mat, mat[4:] + mat[:4]], {}),
+        "classify-seq": ([], {"--model": model[1:] + model[:1], "--tau": ["1e-3"],
+                              "--window": None}),
+        "cover-test": ([], {"--t": mat[1:] + mat[:1], "--e1": mat, "--e2": mat, "--tol": ["1e-9"]}),
+        "cover-make": ([], {"--e1": mat, "--e2": mat}),
+        "classify-wg": ([], wg),
+        "classify-wcg": ([], wg),
+        "range-equiv": ([mat, mat[1:] + mat[:1]], {}),
+        "weakly-full": ([], {"--model": model, "--codim": ["inf", "3"]}),
+        "dichotomy": ([], {"--model": model, "--m": ["1", "0", "2"], "--dims": None,
+                           "--seed": ["0", "7"]}),
+        "solve-xay": ([], {"--a": mat, "--b": mat}),
+        "factor": ([], {"--b": mat}),
+        "match-inv": ([], {"--xs": mat[5:], "--xs-target": mat[5:], "--ys": mat[6:] + mat[5:6],
+                           "--ys-target": mat[6:], "--eps": ["1e-3"], "--seed": ["0"]}),
+        "separate": ([mat, mat[1:] + mat[:1]], {}),
+        "expanding": ([], {"--t": mat[1:] + mat[:1], "--a": mat, "--tol": ["1e-9"]}),
+        "classify-we": ([], {"--model": model}),
+        "rigid": ([], {"--spec": spec, "--norm-bound": ["10"]}),
+    }
+
+
+def test_table_covers_every_subcommand(files):
+    assert list(command_table(files)) == SUBCOMMANDS
+
+
+@st.composite
+def argv_for(draw, table, name):
+    """A valid argv for ``name`` with one or two values made hostile and up
+    to one option left out."""
+    positional, options = table[name]
+    slots = dict(enumerate(positional), **options)
+    values = {k: draw(st.sampled_from(SIZED[k] if c is None else c)) for k, c in slots.items()}
+    for k in draw(st.sets(st.sampled_from(list(slots)), min_size=1, max_size=2)):
+        values[k] = draw(st.sampled_from(HOSTILE[:-1] if k in SIZED else HOSTILE))
+    dropped = draw(st.sets(st.sampled_from(list(options)), max_size=1)) if options else set()
+    argv = [name] + [values[i] for i in range(len(positional))]
+    argv += [f"{k}={values[k]}" for k in options if k not in dropped]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_no_argv_is_an_internal_error(files, name):
+    @settings(max_examples=16, derandomize=True, database=None, deadline=None)
+    @given(argv_for(command_table(files), name))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1), f"{argv} exited {code}: {err.getvalue()}"
+
+    check()
+
+
+def test_no_module_imports_private_names_of_another():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                              f"import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []

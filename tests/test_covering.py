@@ -70,6 +70,12 @@ class TestCovers:
         with pytest.raises(InputError, match="map dimension"):
             covers(np.eye(3), ellipsoid(np.eye(2)), ellipsoid(np.eye(3)))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        e = ellipsoid(np.diag([3.0, 2.0, 1.0]))
+        with pytest.raises(InputError, match="tol must be a finite nonnegative number"):
+            covers(2 * np.eye(3), e, e, tol=tol)
+
     def test_witness_recorded_on_success(self):
         rng = np.random.default_rng(0)
         t, e1, e2 = certified_cover(rng, 4, 3)
@@ -216,6 +222,14 @@ class TestPrescribedCover:
         with pytest.raises(InputError, match="below the rank"):
             prescribed_cover(e, np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("y, n", [
+        ([[math.nan], [0.0], [0.0]], np.ones((3, 1))),
+        ([[1.0], [0.0], [0.0]], [[math.nan], [1.0], [1.0]]),
+    ])
+    def test_non_finite_constraints_are_input_errors(self, y, n):
+        with pytest.raises(InputError, match="entries must be finite"):
+            prescribed_cover(ellipsoid(np.diag([3.0, 2.0, 1.0])), y, n)
+
 
 class TestDichotomyExperiment:
     def test_geometric_plateau(self):
@@ -260,6 +274,11 @@ class TestDichotomyExperiment:
         # draw; the fallback still produces a valid bounded yield
         rep = wot_density_experiment(Geometric(0.5), 2, (3,), seed=1)
         assert 0 < rep.rho[0] <= 1.0
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            wot_density_experiment(Geometric(0.5), 1, (4,), seed=seed)
 
 
 class TestClassification:
@@ -336,6 +355,14 @@ class TestSeparatingProjection:
         t = np.array([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(InputError, match="linearly dependent"):
             find_separating_projection([t, 2 * t])
+
+    def test_near_dependent_pair_accepted_by_the_validator_is_separated(self):
+        # independent under the RANK_RCOND rule; the greedy stop uses the same rule
+        t1 = np.eye(4)
+        t2 = t1 + 1e-11 * np.random.default_rng(0).normal(size=(4, 4))
+        p = find_separating_projection([t1, t2])
+        assert round(np.trace(p)) == 1
+        np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
     def test_memory_stays_small(self):
         # the independence check on the d^2 x 3 stack must not build a

@@ -171,6 +171,20 @@ class TestMatchInvertible:
             match_invertible([e[:, 0]], [e[:, 0]],
                              [e[:, 0], e[:, 1]], [e[:, 0], e[:, 1]], eps=1e-3)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        e = np.eye(4)
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            match_invertible([e[:, 0]], [e[:, 0]], [e[:, 1]], [e[:, 1]], eps=1e-3, seed=seed)
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            approx_factorization(np.eye(2), np.eye(2), np.eye(2), [e[:2, 0]], eps=1e-2, seed=seed)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-3])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        e = np.eye(4)
+        with pytest.raises(InputError, match="eps must be a positive finite number"):
+            match_invertible([e[:, 0]], [e[:, 0]], [e[:, 1]], [e[:, 1]], eps=eps)
+
 
 class TestApproxFactorization:
     def test_already_factored_targets(self):

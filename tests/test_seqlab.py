@@ -89,6 +89,13 @@ class TestLacunarity:
         assert is_lacunary(Scaled(7.0, Shifted(2, SuperGeometric(2.0)))).lacunary
         assert not is_lacunary(Scaled(7.0, Shifted(2, Geometric(0.5)))).lacunary
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1e-3])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        with pytest.raises(InputError, match="tau must be a positive finite number"):
+            is_lacunary(Samples((1.0, 1e-5, 1e-6)), tau=tau)
+        with pytest.raises(InputError, match="tau must be a positive finite number"):
+            strictly_majorizes(Samples((1.0, 0.5)), Samples((1.0, 0.5)), tau=tau)
+
 
 class TestMajorization:
     def test_geometric_pair_minimal_constant(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from widthlab import (
+    Ellipsoid,
     InputError,
     ellipsoid,
     ellipsoid_membership,
@@ -116,6 +117,11 @@ class TestSections:
         with pytest.raises(InputError, match="orthonormal"):
             section_spectrum(e, np.array([[1.0, 1.0, 0.0]]).T)
 
+    def test_ellipsoid_rejects_a_non_finite_span_basis(self):
+        e = ellipsoid(np.diag([2.0, 1.0]))
+        with pytest.raises(InputError, match="span_basis: entries must be finite"):
+            Ellipsoid(e.generator, e.spectrum, np.full((2, 2), np.nan), e.right_basis)
+
 
 class TestTruncation:
     def test_diagonal_example(self):
@@ -178,6 +184,11 @@ class TestMembership:
         e = ellipsoid(np.diag([1.0, 0.0]))
         assert not ellipsoid_membership(e, [0.0, 0.5])
         assert ellipsoid_membership(e, [0.5, 0.0])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InputError, match="tol must be a finite nonnegative number"):
+            ellipsoid_membership(ellipsoid(np.diag([2.0, 1.0])), [1.0, 0.0], tol=tol)
 
 
 class TestHelpers:
