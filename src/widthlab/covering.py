@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import psd_margin, rank, rank_from_values
+from ._linalg import gram_top, psd_margin, rank, rank_from_values
 from .errors import InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
 from .seqlab import (
@@ -30,7 +30,6 @@ from .spectra import (
     Ellipsoid,
     ellipsoid,
     nullspace_basis,
-    scale_ellipsoid,
     truncate_ellipsoid,
 )
 
@@ -77,8 +76,12 @@ class CoverCertificate:
 
     ``psd_margin`` is the smallest eigenvalue of ``(T A1)(T A1)^T - A2 A2^T``
     divided by ``1 + max(lambda_max)`` of the two quadratic forms, so the
-    test reads ``holds ⇔ psd_margin >= -tol``.  ``witness``/``norm`` carry
-    the covering operator when the test succeeds.
+    test reads ``holds ⇔ psd_margin >= -tol``.  The first ``lambda_max`` is
+    the top eigenvalue of the Gram matrix ``(T A1)(T A1)^T`` the test builds
+    anyway, the second the squared cached ``s_1(A2)``.  ``witness``/``norm``
+    carry the covering operator when the test succeeds; ``norm`` is the
+    square root of the top eigenvalue of the smaller of ``T T^T`` and
+    ``T^T T``, formed from ``T`` scaled by a power of two.
     """
 
     holds: bool
@@ -152,12 +155,16 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
             f"{e2.ambient_dim}, got shape {t.shape}"
         )
     ta = t @ e1.generator
-    margin = psd_margin(ta @ ta.T, e2.generator @ e2.generator.T,
-                        np.linalg.norm(ta, 2), e2.spectrum.s(1))
-    holds = margin >= -tol
-    if holds:
-        return CoverCertificate(True, margin, witness=t, norm=float(np.linalg.norm(t, 2)))
-    return CoverCertificate(False, margin)
+    g1 = ta @ ta.T
+    top2 = e2.spectrum.s(1)
+    margin = psd_margin(g1, e2.generator @ e2.generator.T, gram_top(g1), top2 * top2)
+    if margin < -tol:
+        return CoverCertificate(False, margin)
+    # a power of two scales T exactly, so T T^T cannot overflow where T can
+    scale = 2.0 ** -int(np.frexp(np.max(np.abs(t)))[1])
+    st = scale * t
+    tt = st @ st.T if t.shape[0] <= t.shape[1] else st.T @ st
+    return CoverCertificate(True, margin, witness=t, norm=math.sqrt(gram_top(tt)) / scale)
 
 
 def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
@@ -356,7 +363,13 @@ RANGE_TOL = 1e-9
 def range_equiv(a1, a2) -> RangeEquivalence:
     """Compare column spaces; on success return the extreme two-sided
     scaling constants ``c K1 ⊆ K2 ⊆ C K1`` (generalized eigenvalues on the
-    common range), each verified by the PSD certificate."""
+    common range), each verified by the PSD certificate.
+
+    The certificates compare the Gram matrices ``A1 A1^T`` and ``A2 A2^T``
+    directly, with the cached ``s_1`` of each generator as its norm.  At
+    full rank both ranges are the whole space; below it the ranges agree
+    when ``||P1 - P2||``, the largest ``|eigenvalue|`` of the difference of
+    the two range projectors, stays within ``RANGE_TOL``."""
     a1 = as_operator(a1, "first generator")
     a2 = as_operator(a2, "second generator")
     if a1.shape[0] != a2.shape[0]:
@@ -368,18 +381,23 @@ def range_equiv(a1, a2) -> RangeEquivalence:
         return RangeEquivalence(False)
     if e1.rank == 0:
         return RangeEquivalence(True, 1.0, 1.0)
-    p1 = e1.span_basis @ e1.span_basis.T
-    p2 = e2.span_basis @ e2.span_basis.T
-    if np.linalg.norm(p1 - p2, 2) > RANGE_TOL:
-        return RangeEquivalence(False)
+    if e1.rank < e1.ambient_dim:
+        q1, q2 = e1.span_basis, e2.span_basis
+        lam = np.linalg.eigvalsh(q1 @ q1.T - q2 @ q2.T)
+        if max(-lam[0], lam[-1]) > RANGE_TOL:
+            return RangeEquivalence(False)
     # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
     # eigenvalues of the two forms are the squared singular values of
     # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
     s1 = e1.spectrum.values[: e1.rank]
     sv = np.linalg.svd((e1.span_basis.T @ a2) / s1[:, None], compute_uv=False)
     c, cc = float(sv[-1]), float(sv[0])
-    if not covers(np.eye(e1.ambient_dim), e2, scale_ellipsoid(e1, c)).holds or \
-       not covers(np.eye(e1.ambient_dim), scale_ellipsoid(e1, cc), e2).holds:
+    g1, g2 = a1 @ a1.T, a2 @ a2.T
+    top1, top2 = e1.spectrum.s(1), e2.spectrum.s(1)
+    n1, n2 = top1 * top1, top2 * top2
+    # c K1 ⊆ K2 reads c² G1 ≼ G2, and K2 ⊆ C K1 reads G2 ≼ C² G1
+    if psd_margin(g2, (c * c) * g1, n2, (c * c) * n1) < -PSD_TOL or \
+       psd_margin((cc * cc) * g1, g2, (cc * cc) * n1, n2) < -PSD_TOL:
         raise WidthlabError("internal: extreme scaling constants failed the PSD certificate")
     return RangeEquivalence(True, c, cc)
 

@@ -114,6 +114,20 @@ def as_subspace(y, dim: int, name: str) -> np.ndarray:
     return q
 
 
+def check_spectrum(values: np.ndarray, name: str) -> None:
+    """``values`` must be finite, nonnegative and nonincreasing; NaN fails
+    every comparison, so it is rejected too."""
+    if values.size and not (np.all(np.isfinite(values)) and np.all(values >= 0)
+                            and np.all(np.diff(values) <= 0)):
+        raise InputError(f"{name} must be finite, nonnegative and nonincreasing")
+
+
+def check_no_overflow(values, name: str) -> None:
+    """``values``, computed from finite input, must have stayed finite."""
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{name} overflow double precision; rescale the input")
+
+
 def check_positive(value, name: str) -> None:
     """``value`` must be a positive finite number."""
     if not (math.isfinite(value) and value > 0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import psd_margin
+from ._linalg import gram_top, psd_margin
 from .covering import ALGEBRA_AK, EVERYTHING, PSD_TOL, ClassificationVerdict, covers
 from .errors import as_square, check_tolerance
 from .seqlab import SequenceModel, is_lacunary
@@ -24,8 +24,8 @@ __all__ = ["ExpandVerdict", "is_expanding", "expanding_dual_check", "classify_WE
 @dataclass(frozen=True)
 class ExpandVerdict:
     """``margin`` is the smallest eigenvalue of ``T^T A^T A T - A^T A``
-    scaled by ``1 + lambda_max`` of the two forms; expanding iff it clears
-    ``-tol``."""
+    scaled by ``1 + lambda_max`` of the two forms, each read off the Gram
+    matrix itself; expanding iff it clears ``-tol``."""
 
     expanding: bool
     margin: float
@@ -36,7 +36,8 @@ def is_expanding(t, a, tol: float = PSD_TOL) -> ExpandVerdict:
     t, a = as_square([("T", t), ("A", a)])
     check_tolerance(tol)
     at = a @ t
-    margin = psd_margin(at.T @ at, a.T @ a, np.linalg.norm(at, 2), np.linalg.norm(a, 2))
+    g1, g2 = at.T @ at, a.T @ a
+    margin = psd_margin(g1, g2, gram_top(g1), gram_top(g2))
     return ExpandVerdict(margin >= -tol, margin)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import RANK_RCOND, rank_from_values
-from .errors import InputError, as_columns, as_operator, as_subspace, check_positive, check_tolerance, frozen
+from .errors import InputError, as_columns, as_operator, as_subspace, check_no_overflow, check_positive
+from .errors import check_spectrum, check_tolerance, frozen
 
 __all__ = [
     "RANK_RCOND",
@@ -80,11 +81,9 @@ class SingularSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "values", frozen(np.asarray(self.values, dtype=float).reshape(-1)))
-        v = self.values
-        if v.size and (np.any(v < 0) or np.any(np.diff(v) > 0)):
-            raise InputError("singular spectrum must be nonnegative and nonincreasing")
-        if not 0 <= self.rank <= v.size:
-            raise InputError(f"rank {self.rank} outside [0, {v.size}]")
+        check_spectrum(self.values, "singular spectrum")
+        if not 0 <= self.rank <= self.values.size:
+            raise InputError(f"rank {self.rank} outside [0, {self.values.size}]")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -104,9 +103,7 @@ class WidthSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", frozen(np.asarray(self.values, dtype=float).reshape(-1)))
-        v = self.values
-        if v.size and (np.any(v < 0) or np.any(np.diff(v) > 0)):
-            raise InputError("width sequence must be nonnegative and nonincreasing")
+        check_spectrum(self.values, "width sequence")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -155,17 +152,52 @@ class Ellipsoid:
         return self.spectrum.rank
 
 
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of a finite matrix, as ``np.linalg.svd(a, full_matrices=False)``.
+
+    A *monomial* matrix, with at most one nonzero per row and per column,
+    is decomposed exactly: its singular values are its sorted ``|entries|``,
+    their signs go into ``u``, and unused coordinates fill the remaining
+    columns of ``u`` and rows of ``vh``.  gesdd can lose the relative
+    accuracy of such a graded diagonal (Demmel & Kahan 1990), and the
+    dichotomy tower's generators are all monomial.  Every other matrix goes
+    to gesdd.  Singular values that overflow are refused.
+    """
+    nz = a != 0
+    if nz.sum(axis=0).max() > 1 or nz.sum(axis=1).max() > 1:
+        out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        check_no_overflow(out[1] if compute_uv else out, "singular values")
+        return out
+    rows, cols = np.nonzero(nz)
+    vals = a[rows, cols]
+    order = np.argsort(-np.abs(vals), kind="stable")
+    vals, rows, cols = vals[order], rows[order], cols[order]
+    m, n = a.shape
+    k = min(m, n)
+    sv = np.zeros(k)
+    sv[: vals.size] = np.abs(vals)
+    if not compute_uv:
+        return sv
+    fill = np.arange(vals.size, k)
+    u = np.zeros((m, k))
+    u[rows, np.arange(vals.size)] = np.sign(vals)
+    u[np.flatnonzero(~nz.any(axis=1))[: fill.size], fill] = 1.0
+    vh = np.zeros((k, n))
+    vh[np.arange(vals.size), cols] = 1.0
+    vh[fill, np.flatnonzero(~nz.any(axis=0))[: fill.size]] = 1.0
+    return u, sv, vh
+
+
 def singular_spectrum(a, rcond: float = RANK_RCOND) -> SingularSpectrum:
     """Singular values of ``a`` in nonincreasing order, with rank cutoff."""
-    arr = as_operator(a)
-    values = np.linalg.svd(arr, compute_uv=False)
+    values = _svd(as_operator(a), compute_uv=False)
     return SingularSpectrum(values=values, rank=rank_from_values(values, rcond))
 
 
 def ellipsoid(a, rcond: float = RANK_RCOND) -> Ellipsoid:
     """Build the ellipsoid ``a(B)`` with its SVD data cached."""
     arr = as_operator(a, "generator")
-    u, sv, vh = np.linalg.svd(arr, full_matrices=False)
+    u, sv, vh = _svd(arr)
     rank = rank_from_values(sv, rcond)
     return Ellipsoid(
         generator=arr,

@@ -278,6 +278,24 @@ class TestErrorPaths:
         code, out, err = invoke(capsys, [workdir / a[1:] if a.startswith("@") else a for a in argv])
         assert code == 1 and out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("argv, message", [
+        (["cover-test", "--t", "@N.mat", "--e1", "@H.mat", "--e2", "@T.mat"],
+         "Gram matrix entries overflow double precision; rescale the input"),
+        (["range-equiv", "@H.mat", "@H.mat"],
+         "Gram matrix entries overflow double precision; rescale the input"),
+        (["widths", "@M.mat"], "singular values overflow double precision; rescale the input"),
+        (["expanding", "--t", "@T.mat", "--a", "@M.mat"],
+         "Gram matrix entries overflow double precision; rescale the input"),
+    ])
+    def test_finite_input_that_overflows_is_input_error(self, workdir, argv, message, capsys):
+        write_matrix(workdir / "H.mat", np.diag([1e300, 1.0, 1e-300]))
+        write_matrix(workdir / "N.mat", -np.eye(3))
+        write_matrix(workdir / "M.mat", np.full((3, 3), 1e308))
+        code, out, err = invoke(capsys, [workdir / a[1:] if a.startswith("@") else a for a in argv])
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = invoke(capsys, ["widths", "no-such-file.mat"])
         assert code == 1 and "no-such-file.mat" in err

@@ -35,7 +35,7 @@ from widthlab import (
     truncate_ellipsoid,
     wot_density_experiment,
 )
-from widthlab.covering import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY
+from widthlab.covering import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, MARGIN_BAND, PSD_TOL
 
 
 def random_contraction(rng, rows, cols):
@@ -109,6 +109,56 @@ class TestCovers:
             assert cert.holds == sampled
             checked += 1
         assert checked >= 40
+
+
+    def test_kernel_makes_no_svd(self, linalg_calls):
+        rng = np.random.default_rng(3)
+        t, e1, e2 = certified_cover(rng, 30, 30)
+        linalg_calls.update(svd=0, eigvalsh=0)
+        assert covers(t, e1, e2).holds
+        assert linalg_calls == {"svd": 0, "eigvalsh": 3}
+        linalg_calls.update(eigvalsh=0)
+        assert not covers(0.01 * t, e1, e2).holds
+        assert linalg_calls == {"svd": 0, "eigvalsh": 2}
+
+    def test_margin_and_norm_agree_with_the_svd_formula(self):
+        # the scale 1 + max(||T A1||², ||A2||²) and the witness norm taken
+        # from SVDs, independently of the Gram matrices the kernel reads
+        rng = np.random.default_rng(4)
+        verdicts = set()
+        for i in range(40):
+            d = int(rng.integers(2, 121))
+            if i % 2:
+                t, e1, e2 = certified_cover(rng, d, d)
+            else:
+                t = rng.normal(size=(d, d))
+                e1, e2 = ellipsoid(rng.normal(size=(d, d))), ellipsoid(rng.normal(size=(d, d)))
+            cert = covers(t, e1, e2)
+            ta = t @ e1.generator
+            diff = ta @ ta.T - e2.generator @ e2.generator.T
+            want = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]) / (
+                1.0 + max(np.linalg.norm(ta, 2) ** 2, np.linalg.norm(e2.generator, 2) ** 2))
+            assert cert.psd_margin == pytest.approx(want, rel=1e-13, abs=0)
+            if abs(want) > MARGIN_BAND:
+                assert cert.holds == (want >= -PSD_TOL)
+            if cert.holds:
+                assert cert.norm == pytest.approx(np.linalg.norm(t, 2), rel=1e-13, abs=0)
+            verdicts.add(cert.holds)
+        assert verdicts == {True, False}
+
+    def test_witness_norm_beyond_the_square_root_of_the_largest_double(self):
+        # ||T||² overflows, but T A1 and the certificate stay in range
+        e1 = ellipsoid(1e-200 * np.diag([3.0, 2.0, 1.0]))
+        cert = covers(1e200 * np.eye(3), e1, ellipsoid(np.diag([2.0, 1.0, 0.5])))
+        assert cert.holds and cert.psd_margin == pytest.approx(0.075)
+        assert cert.norm == pytest.approx(1e200, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_gram_matrix_is_an_input_error(self):
+        e1 = ellipsoid(np.diag([1e300, 1.0, 1e-300]))
+        with pytest.raises(InputError, match="overflow double precision"):
+            covers(-np.eye(3), e1, ellipsoid(2 * np.eye(3)))
 
 
 class TestSchmidtCover:
@@ -243,6 +293,33 @@ class TestDichotomyExperiment:
         assert rep.rho[0] > rep.rho[1] > rep.rho[2]
         assert rep.rho[2] / rep.rho[0] < 1e-6
         assert rep.model_lacunary
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_geometric_yield_is_q_to_the_m_at_every_size(self, q):
+        # monomial generators are decomposed exactly, so only the rounding
+        # of the terms q^n and of two divisions is left; dyadic q is exact
+        dims = (8, 12, 40, 56, 80, 96, 128, 256, 512)
+        for m in (1, 2, 3):
+            rho = wot_density_experiment(Geometric(q), m, dims, seed=7).rho
+            want = q ** m
+            if q == 0.5:
+                assert rho == (want,) * len(dims)
+            assert all(abs(r - want) <= 4 * math.ulp(want) for r in rho), (m, rho)
+
+    @pytest.mark.parametrize("b", [1.2, 1.5, 2.0])
+    def test_supergeometric_yield_closed_form_up_to_underflow(self, b):
+        for m in (1, 2, 3):
+            d = 2 * m
+            while True:
+                try:
+                    rho = wot_density_experiment(SuperGeometric(b), m, [d], seed=7).rho[0]
+                except InputError as exc:
+                    assert "underflow refused" in str(exc)
+                    break
+                want = b ** float(-m * (2 * d - m - 2))
+                assert rho == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), (m, d)
+                d += 1
+            assert d > 20
 
     def test_no_constraints_full_yield(self):
         rep = wot_density_experiment(Geometric(0.5), 0, (4, 8), seed=11)
@@ -416,6 +493,26 @@ class TestRangeEquivalence:
         assert eq.same_range
         assert eq.c == pytest.approx(sv[-1], rel=1e-12)
         assert eq.C == pytest.approx(sv[0], rel=1e-12)
+
+
+    def test_full_rank_kernel_makes_three_svds_and_no_projector_test(self, linalg_calls):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(40, 40))
+        assert range_equiv(a, a @ rng.normal(size=(40, 40))).same_range
+        assert linalg_calls == {"svd": 3, "eigvalsh": 2}
+
+    def test_rank_deficient_kernel_adds_the_projector_test(self, linalg_calls):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(40, 30))
+        assert range_equiv(a, a @ rng.normal(size=(30, 30))).same_range
+        assert linalg_calls == {"svd": 3, "eigvalsh": 3}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_gram_matrix_is_an_input_error(self):
+        a = np.diag([1e300, 1.0, 1e-300])
+        with pytest.raises(InputError, match="overflow double precision"):
+            range_equiv(a, a)
 
 
 class TestWeakFullness:

@@ -11,6 +11,7 @@ from widthlab import (
     expanding_dual_check,
     is_expanding,
 )
+from widthlab.covering import MARGIN_BAND, PSD_TOL
 
 
 def expanding_operator(rng, a, lo, hi):
@@ -73,6 +74,32 @@ class TestIsExpanding:
             assert verdict.expanding == sampled
             checked += 1
         assert checked >= 100
+
+    def test_kernel_makes_no_svd(self, linalg_calls):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(30, 30))
+        is_expanding(rng.normal(size=(30, 30)), a)
+        assert linalg_calls == {"svd": 0, "eigvalsh": 3}
+
+    def test_margin_agrees_with_the_svd_formula(self):
+        # the scale 1 + max(||A T||², ||A||²) taken from SVDs, independently
+        # of the Gram matrices the kernel reads
+        rng = np.random.default_rng(9)
+        verdicts = set()
+        for i in range(40):
+            d = int(rng.integers(2, 121))
+            a = rng.normal(size=(d, d)) + 0.3 * np.eye(d)
+            t = rng.normal(size=(d, d)) if i % 2 else expanding_operator(rng, a, 0.9, 1.6)
+            v = is_expanding(t, a)
+            at = a @ t
+            diff = at.T @ at - a.T @ a
+            want = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]) / (
+                1.0 + max(np.linalg.norm(at, 2) ** 2, np.linalg.norm(a, 2) ** 2))
+            assert v.margin == pytest.approx(want, rel=1e-13, abs=0)
+            if abs(want) > MARGIN_BAND:
+                assert v.expanding == (want >= -PSD_TOL)
+            verdicts.add(v.expanding)
+        assert verdicts == {True, False}
 
     def test_scaling_of_a_is_irrelevant(self):
         rng = np.random.default_rng(1)

@@ -4,6 +4,8 @@ import pytest
 from widthlab import (
     Ellipsoid,
     InputError,
+    SingularSpectrum,
+    WidthSequence,
     ellipsoid,
     ellipsoid_membership,
     kolmogorov_widths,
@@ -55,6 +57,44 @@ class TestSingularSpectrum:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError, match="finite"):
             singular_spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+    @pytest.mark.parametrize("build", [lambda v: SingularSpectrum(values=v, rank=1),
+                                       lambda v: WidthSequence(values=v)])
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]])
+    def test_constructors_reject_non_finite_values(self, build, values):
+        with pytest.raises(InputError, match="must be finite, nonnegative and nonincreasing"):
+            build(values)
+
+    def test_overflowing_singular_values_are_refused(self):
+        with pytest.raises(InputError, match="singular values overflow double precision"):
+            singular_spectrum(np.full((3, 3), 1e308))
+        with pytest.raises(InputError, match="singular values overflow double precision"):
+            ellipsoid(np.full((3, 3), 1e308))
+
+    def test_monomial_matrices_are_decomposed_exactly(self):
+        # at most one nonzero per row and column: the s-numbers are the
+        # sorted |entries|, even on a graded diagonal where gesdd loses the
+        # small ones, and the cached factors reproduce the matrix exactly
+        rng = np.random.default_rng(12)
+        graded = np.diag(0.3 ** np.arange(200.0))
+        cases = [graded, np.zeros((3, 2)), np.array([[0.0, -2.0, 0.0], [0.0, 0.0, 0.0]])]
+        for _ in range(30):
+            m, n = (int(x) for x in rng.integers(1, 12, size=2))
+            k = int(rng.integers(0, min(m, n) + 1))
+            a = np.zeros((m, n))
+            a[rng.choice(m, k, replace=False), rng.choice(n, k, replace=False)] = (
+                rng.normal(size=k) * 10.0 ** rng.integers(-150, 150, size=k))
+            cases.append(a)
+        for a in cases:
+            want = np.zeros(min(a.shape))
+            nz = np.sort(np.abs(a[a != 0]))[::-1]
+            want[: nz.size] = nz
+            np.testing.assert_array_equal(singular_spectrum(a, rcond=0.0).values, want)
+            e = ellipsoid(a, rcond=0.0)
+            np.testing.assert_array_equal(e.spectrum.values, want)
+            np.testing.assert_array_equal((e.span_basis * want[: e.rank]) @ e.right_basis.T, a)
+            np.testing.assert_array_equal(e.right_basis.T @ e.right_basis, np.eye(e.rank))
 
 
 class TestWidths:
