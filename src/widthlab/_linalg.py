@@ -39,8 +39,9 @@ def psd_margin(g1: np.ndarray, g2: np.ndarray, n1: float, n2: float) -> float:
     Gram matrices ``g1`` and ``g2`` (their largest eigenvalues, as
     :func:`gram_top` gives them, or squared cached s-numbers); ``g1 ≽ g2``
     reads ``margin >= -tol``."""
-    diff = g1 - g2
-    sym = 0.5 * (diff + diff.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        diff = g1 - g2
+        sym = 0.5 * (diff + diff.T)
     scale = 1.0 + max(n1, n2)
     check_no_overflow(sym, "Gram matrix entries")
     check_no_overflow(scale, "squared norms")

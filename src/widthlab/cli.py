@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -62,21 +63,22 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _jsonify(obj):
+def _jsonify(obj, arrays: list):
+    """JSON-ready copy of ``obj``; each 1-d or 2-d array becomes a
+    placeholder string holding its index in ``arrays``, where it is put."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return _fmt(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1:
-            return [_fmt(v) for v in obj]
-        return [[_fmt(v) for v in row] for row in obj]
+    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
+        arrays.append(obj)
+        return f"{_ARRAY_MARK}{len(arrays) - 1}"
     if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: _jsonify(getattr(obj, f.name), arrays) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): _jsonify(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, arrays) for v in obj]
     if isinstance(obj, (np.floating,)):
         return _fmt(float(obj))
     if isinstance(obj, (np.integer,)):
@@ -84,9 +86,35 @@ def _jsonify(obj):
     raise WidthlabError(f"internal: cannot serialize {type(obj)!r}")
 
 
+# json.dumps writes the NUL of a placeholder as \u0000; no other string in a
+# report holds NUL, since argv and file paths cannot.
+_ARRAY_MARK = "\0array:"
+_PLACEHOLDER = re.compile(r'^( *)(.*)"\\u0000array:(\d+)"', re.MULTILINE)
+
+
+def _array_json(a: np.ndarray, indent: str) -> str:
+    """``json.dumps(indent=2)`` of ``a`` as nested lists of 17-digit strings,
+    opening on a line indented by ``indent``: one template, filled once."""
+    a = np.asarray(a, dtype=float)
+    template = '"%.17g"'
+    for depth in range(a.ndim, 0, -1):  # innermost level first
+        pad = indent + "  " * (depth - 1)
+        n = a.shape[depth - 1]
+        template = f"[\n{pad}  " + f",\n{pad}  ".join([template] * n) + f"\n{pad}]" if n else "[]"
+    return template % tuple(a.ravel().tolist())
+
+
+def _to_json(payload) -> str:
+    """``json.dumps(indent=2, sort_keys=True)`` of the payload with every
+    real as a 17-digit string; arrays are laid out by one template each."""
+    arrays = []
+    text = json.dumps(_jsonify(payload, arrays), indent=2, sort_keys=True)
+    return _PLACEHOLDER.sub(lambda m: m[1] + m[2] + _array_json(arrays[int(m[3])], m[1]), text)
+
+
 def _emit(args, payload: dict, human_lines) -> None:
     if args.json:
-        print(json.dumps(_jsonify(payload), indent=2, sort_keys=True))
+        print(_to_json(payload))
     else:
         for line in human_lines:
             print(line)

@@ -154,10 +154,11 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
             f"covering operator must map dimension {e1.ambient_dim} to "
             f"{e2.ambient_dim}, got shape {t.shape}"
         )
-    ta = t @ e1.generator
-    g1 = ta @ ta.T
+    with np.errstate(over="ignore", invalid="ignore"):  # gram_top and psd_margin report it
+        ta = t @ e1.generator
+        g1, g2 = ta @ ta.T, e2.generator @ e2.generator.T
     top2 = e2.spectrum.s(1)
-    margin = psd_margin(g1, e2.generator @ e2.generator.T, gram_top(g1), top2 * top2)
+    margin = psd_margin(g1, g2, gram_top(g1), top2 * top2)
     if margin < -tol:
         return CoverCertificate(False, margin)
     # a power of two scales T exactly, so T T^T cannot overflow where T can
@@ -392,7 +393,8 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     s1 = e1.spectrum.values[: e1.rank]
     sv = np.linalg.svd((e1.span_basis.T @ a2) / s1[:, None], compute_uv=False)
     c, cc = float(sv[-1]), float(sv[0])
-    g1, g2 = a1 @ a1.T, a2 @ a2.T
+    with np.errstate(over="ignore", invalid="ignore"):  # psd_margin reports it
+        g1, g2 = a1 @ a1.T, a2 @ a2.T
     top1, top2 = e1.spectrum.s(1), e2.spectrum.s(1)
     n1, n2 = top1 * top1, top2 * top2
     # c K1 ⊆ K2 reads c² G1 ≼ G2, and K2 ⊆ C K1 reads G2 ≼ C² G1

@@ -35,8 +35,9 @@ def is_expanding(t, a, tol: float = PSD_TOL) -> ExpandVerdict:
     """Does ``T`` expand the seminorm ``x -> ||A x||``?"""
     t, a = as_square([("T", t), ("A", a)])
     check_tolerance(tol)
-    at = a @ t
-    g1, g2 = at.T @ at, a.T @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # gram_top reports it
+        at = a @ t
+        g1, g2 = at.T @ at, a.T @ a
     margin = psd_margin(g1, g2, gram_top(g1), gram_top(g2))
     return ExpandVerdict(margin >= -tol, margin)
 

@@ -1,9 +1,10 @@
 """Plain-text matrix files shared by the whole package and its CLI.
 
 Format: the first line holds ``rows cols``; each of the following ``rows``
-lines holds ``cols`` whitespace-separated decimal numbers.  Numbers are
-written with 17 significant digits so write/read round-trips every float64
-bit-exactly.
+non-blank lines holds ``cols`` whitespace-separated numbers in Python
+``float`` syntax.  Blank lines are skipped but counted in error positions;
+a ``rows x 0`` matrix has no non-blank data line.  Numbers are written with
+17 significant digits so write/read round-trips every float64 bit-exactly.
 """
 
 from __future__ import annotations
@@ -32,19 +33,30 @@ def parse_matrix(text: str, source: str = "<string>") -> np.ndarray:
     if rows < 0 or cols < 0:
         raise InputError(f"{source}:1: negative dimensions {rows}x{cols}")
 
-    out = np.empty((rows, cols), dtype=float)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) < rows:
+    # 1-based line numbers of the non-blank lines after the header; a row
+    # with no entries is a blank line, so a rows x 0 matrix has none
+    body = [n for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    data = body[:rows] if cols else []
+    if cols and len(body) < rows:
         raise InputError(f"{source}:{len(lines)}: expected {rows} data rows, found {len(body)}")
-    for i in range(rows):
-        parts = body[i].split()
+    tokens = []
+    for n in data:
+        parts = lines[n - 1].split()
         if len(parts) != cols:
-            raise InputError(f"{source}:{i + 2}: expected {cols} entries, found {len(parts)}")
-        for j, tok in enumerate(parts):
+            raise InputError(f"{source}:{n}: expected {cols} entries, found {len(parts)}")
+        tokens += parts
+    out = np.empty((rows, cols), dtype=float)
+    try:
+        out.ravel()[:] = list(map(float, tokens))
+    except ValueError:  # only now look for the token float() refused
+        for k, tok in enumerate(tokens):
             try:
-                out[i, j] = float(tok)
+                float(tok)
             except ValueError:
-                raise InputError(f"{source}:{i + 2}: column {j + 1}: not a number: {tok!r}") from None
+                raise InputError(f"{source}:{data[k // cols]}: column {k % cols + 1}: "
+                                 f"not a number: {tok!r}") from None
+    if len(body) > len(data):
+        raise InputError(f"{source}:{body[len(data)]}: unexpected data after the {rows}x{cols} matrix")
     if not np.all(np.isfinite(out)):
         raise InputError(f"{source}: matrix contains non-finite entries")
     return out
@@ -54,10 +66,10 @@ def format_matrix(a: np.ndarray) -> str:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.ndim != 2:
         raise InputError(f"can only format 2-d arrays, got shape {a.shape}")
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = a.shape
+    # "%.17g" % x and f"{x:.17g}" give the same digits for every float
+    template = "\n".join([f"{rows} {cols}"] + [" ".join(["%.17g"] * cols)] * rows) + "\n"
+    return template % tuple(a.ravel().tolist())
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

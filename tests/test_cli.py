@@ -1,17 +1,25 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import entry_points
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import widthlab
-from widthlab import read_matrix, write_matrix
-from widthlab.cli import run
+from widthlab import MatchCertificate, read_matrix, write_matrix
+from widthlab import cli
+from widthlab.cli import _to_json, run
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -383,3 +391,125 @@ def test_python_m_widthlab(tmp_path):
     proc = run_child([sys.executable, "-m", "widthlab", "widths", "A.mat"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "s-numbers: 2 1" in proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover-test", "--t", "N.mat", "--e1", "H.mat", "--e2", "T.mat"],
+     "Gram matrix entries overflow double precision; rescale the input"),
+    (["cover-test", "--t", "M.mat", "--e1", "T.mat", "--e2", "T.mat"],
+     "Gram matrix entries overflow double precision; rescale the input"),
+    (["range-equiv", "H.mat", "H.mat"],
+     "Gram matrix entries overflow double precision; rescale the input"),
+    (["expanding", "--t", "T.mat", "--a", "M.mat", "--dual-check"],
+     "Gram matrix entries overflow double precision; rescale the input"),
+])
+def test_overflow_error_is_the_only_stderr_line(tmp_path, argv, message):
+    write_matrix(tmp_path / "H.mat", np.diag([1e300, 1.0, 1e-300]))
+    write_matrix(tmp_path / "N.mat", -np.eye(3))
+    write_matrix(tmp_path / "M.mat", np.full((3, 3), 1e308))
+    write_matrix(tmp_path / "T.mat", 2 * np.eye(3))
+    proc = run_child([sys.executable, "-m", "widthlab", *argv], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+# --json reports against the rendering they replace: every real, array
+# entries included, a 17-digit string, then json.dumps(indent=2, sort_keys=True)
+
+def reference_jsonify(obj):
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.17g}"
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonify(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: reference_jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonify(v) for k, v in obj.items()}
+    return [reference_jsonify(v) for v in obj]
+
+
+def reference_json(payload) -> str:
+    return json.dumps(reference_jsonify(payload), indent=2, sort_keys=True)
+
+
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308]))
+
+
+def arrays(ndim):
+    return st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim).flatmap(
+        lambda shape: st.lists(finite, min_size=math.prod(shape), max_size=math.prod(shape))
+        .map(lambda vals: np.array(vals, dtype=float).reshape(shape)))
+
+
+# the payload layouts of cover-make, solve-xay and factor, separate, match-inv
+payloads = st.one_of(
+    st.fixed_dictionaries({"norm": finite, "operator": arrays(2)}),
+    st.fixed_dictionaries({"residual": finite, "X": arrays(2), "Y": arrays(2)}),
+    st.fixed_dictionaries({"projection": arrays(2), "rank": st.integers(0, 9)}),
+    st.builds(MatchCertificate, arrays(2), finite, st.lists(finite, max_size=3).map(tuple),
+              st.lists(finite, max_size=3).map(tuple)),
+    st.fixed_dictionaries({"s_numbers": arrays(1), "nested": st.lists(arrays(2), max_size=2)}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_json_report_matches_the_reference_rendering(payload):
+    assert _to_json(payload) == reference_json(payload)
+
+
+def matrix_file(path, a):
+    write_matrix(path, a)
+    return str(path)
+
+
+def cover_make_argv(rng, d):
+    d1, d2 = rng.integers(1, 6, size=2)
+    e2 = rng.normal(size=(d2, rng.integers(1, d1 + 1)))
+    return ["cover-make", "--e1", matrix_file(d / "e1.mat", rng.normal(size=(d1, d1))),
+            "--e2", matrix_file(d / "e2.mat", e2)]
+
+
+def solve_xay_argv(rng, d):
+    n, r = rng.integers(1, 6), rng.integers(1, 6)
+    b = rng.normal(size=(n, min(r, n))) @ rng.normal(size=(min(r, n), n))
+    return ["solve-xay", "--a", matrix_file(d / "a.mat", rng.normal(size=(n, n))),
+            "--b", matrix_file(d / "b.mat", b)]
+
+
+def factor_argv(rng, d):
+    n = rng.integers(1, 6)
+    return ["factor", "--b", matrix_file(d / "b.mat", rng.normal(size=(n, n)))]
+
+
+def separate_argv(rng, d):
+    n = rng.integers(2, 5)
+    return ["separate"] + [matrix_file(d / f"t{i}.mat", rng.normal(size=(n, n)))
+                           for i in range(rng.integers(1, 4))]
+
+
+def match_inv_argv(rng, d):
+    n, kx, ky = rng.integers(4, 8), rng.integers(1, 3), rng.integers(1, 3)
+    argv = ["match-inv", "--eps", "1e-3", "--seed", str(rng.integers(0, 100))]
+    for name, k in [("xs", kx), ("xs-target", kx), ("ys", ky), ("ys-target", ky)]:
+        argv += [f"--{name}", matrix_file(d / f"{name}.mat", rng.normal(size=(n, k)))]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv", [cover_make_argv, solve_xay_argv, factor_argv,
+                                       separate_argv, match_inv_argv])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_json_subcommands_match_the_reference_rendering(make_argv, seed):
+    seen = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_to_json", lambda payload: seen.append(payload) or _to_json(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(make_argv(np.random.default_rng(seed), Path(tmp)) + ["--json"])
+    assert code == 0 and len(seen) == 1
+    assert out.getvalue() == reference_json(seen[0]) + "\n"
