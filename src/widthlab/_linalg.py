@@ -1,5 +1,5 @@
-"""The rank cutoff, the Gram-matrix norm and the PSD margin that every
-verdict rests on.
+"""The SVD, the rank cutoff, the Gram-matrix norm and the PSD margin that
+every verdict rests on.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -13,6 +13,44 @@ from .errors import check_no_overflow
 RANK_RCOND = 1e-12
 
 
+def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """SVD of a finite matrix, as ``np.linalg.svd`` with the same arguments
+    (but thin factors by default); the one SVD entry point of the package.
+
+    A *monomial* matrix, with at most one nonzero per row and per column,
+    is decomposed exactly: its singular values are its sorted ``|entries|``,
+    their signs go into ``u``, and unused coordinates fill the remaining
+    columns of ``u`` and rows of ``vh``.  gesdd can lose the relative
+    accuracy of such a graded diagonal (Demmel & Kahan 1990), and the
+    dichotomy tower's generators and its axis-aligned constraint blocks are
+    all monomial.  Every other matrix goes to gesdd.  Singular values that
+    overflow are refused.
+    """
+    nz = a != 0
+    if (nz.sum(axis=0) > 1).any() or (nz.sum(axis=1) > 1).any():
+        out = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        check_no_overflow(out[1] if compute_uv else out, "singular values")
+        return out
+    rows, cols = np.nonzero(nz)
+    vals = a[rows, cols]
+    order = np.argsort(-np.abs(vals), kind="stable")
+    vals, rows, cols = vals[order], rows[order], cols[order]
+    m, n = a.shape
+    p = vals.size
+    sv = np.zeros(min(m, n))
+    sv[:p] = np.abs(vals)
+    if not compute_uv:
+        return sv
+    ku, kv = (m, n) if full_matrices else (sv.size, sv.size)
+    u = np.zeros((m, ku))
+    u[rows, np.arange(p)] = np.sign(vals)
+    u[np.flatnonzero(~nz.any(axis=1))[: ku - p], np.arange(p, ku)] = 1.0
+    vh = np.zeros((kv, n))
+    vh[np.arange(p), cols] = 1.0
+    vh[np.arange(p, kv), np.flatnonzero(~nz.any(axis=0))[: kv - p]] = 1.0
+    return u, sv, vh
+
+
 def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND) -> int:
     """Number of nonincreasing singular values above ``rcond * s_1``."""
     if values.size == 0:
@@ -22,7 +60,7 @@ def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND) -> int:
 
 def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     """Numerical rank of ``m`` under :func:`rank_from_values`."""
-    return rank_from_values(np.linalg.svd(m, compute_uv=False), rcond)
+    return rank_from_values(svd(m, compute_uv=False), rcond)
 
 
 def gram_top(g: np.ndarray) -> float:

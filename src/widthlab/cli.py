@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -168,6 +169,7 @@ def _read_rigid_spec(path: str) -> RigidCompactSpec:
     return RigidCompactSpec(n=n, alphas=tuple(alphas), betas=tuple(betas))
 
 
+@functools.cache  # one parser per process; handlers look library functions up at call time
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="widthlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gram_top, psd_margin, rank, rank_from_values
+from ._linalg import gram_top, psd_margin, rank, rank_from_values, svd
 from .errors import InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
 from .seqlab import (
@@ -338,7 +338,7 @@ def find_separating_projection(t_list) -> np.ndarray:
         terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(coeffs) if abs(c) > 1e-12)
         raise InputError(f"operators are linearly dependent: {terms} = 0")
 
-    factors = [(u, rank_from_values(sv)) for u, sv, _ in map(np.linalg.svd, mats)]
+    factors = [(u, rank_from_values(sv)) for u, sv, _ in map(svd, mats)]
     pool = [u[:, level] for level in range(d) for u, r in factors if level < r]
 
     q_cols: list[np.ndarray] = []
@@ -391,7 +391,7 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     # eigenvalues of the two forms are the squared singular values of
     # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
     s1 = e1.spectrum.values[: e1.rank]
-    sv = np.linalg.svd((e1.span_basis.T @ a2) / s1[:, None], compute_uv=False)
+    sv = svd((e1.span_basis.T @ a2) / s1[:, None], compute_uv=False)
     c, cc = float(sv[-1]), float(sv[0])
     with np.errstate(over="ignore", invalid="ignore"):  # psd_margin reports it
         g1, g2 = a1 @ a1.T, a2 @ a2.T

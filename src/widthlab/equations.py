@@ -11,12 +11,13 @@ vector constraints on both ``V`` and ``V^{-1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from ._linalg import rank, rank_from_values
+from ._linalg import rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
-from .errors import as_columns, as_operator, as_square, check_positive, check_seed, frozen
+from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, check_seed, frozen
 from .seqlab import MajorizationVerdict, SequenceModel, majorizes
 from .spectra import nullspace_basis
 
@@ -33,6 +34,22 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
+
+
+def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
+    """``||F_1 ... F_k - B||_F / (1 + ||B||_F)`` for the factors ``F_i``.
+
+    ``B`` and ``F_1`` are first scaled by the power of two that brings the
+    entries of ``B`` below 1, which leaves the ratio as it is (up to
+    underflow), so a finite ``B`` whose norm overflows still gets its true
+    ratio.  A product that overflows anyway is refused.
+    """
+    scale = 2.0 ** -max(int(np.frexp(np.max(np.abs(b)))[1]), 0)
+    sb = scale * b
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        product = reduce(np.matmul, factors[1:], scale * factors[0])
+        check_no_overflow(product, "factor products")
+        return float(np.linalg.norm(product - sb) / (scale + np.linalg.norm(sb)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +115,8 @@ def solve_xay(a, b) -> SolutionPair:
     is not unique; this particular one is fixed for determinism.
     """
     a, b = as_square([("A", a), ("B", b)])
-    ua, sa, vta = np.linalg.svd(a)
-    ub, sb, vtb = np.linalg.svd(b)
+    ua, sa, vta = svd(a)
+    ub, sb, vtb = svd(b)
     ra, r = rank_from_values(sa), rank_from_values(sb)
     if r > ra:
         raise UnsolvableError(f"rank(B)={r} exceeds rank(A)={ra}",
@@ -110,8 +127,8 @@ def solve_xay(a, b) -> SolutionPair:
     root = np.sqrt(sa[:r])
     y = vta[:r].T @ ((1.0 / root)[:, None] * vtb[:r])
     x = ub[:, :r] @ ((sb[:r] / root)[:, None] * ua[:, :r].T)
-    residual = float(np.linalg.norm(x @ a @ y - b) / (1.0 + np.linalg.norm(b)))
-    if residual > _RESIDUAL_TOL:
+    residual = _relative_residual(b, x, a, y)
+    if not residual <= _RESIDUAL_TOL:
         raise WidthlabError(f"internal: solver residual {residual:g} above {_RESIDUAL_TOL:g}")
     return SolutionPair(x, y, residual)
 
@@ -141,8 +158,7 @@ def factor_pair(b) -> SolutionPair:
     eye = np.eye(d)
     y = np.vstack([eye, np.zeros((d, d))])
     x = np.hstack([b, eye])
-    residual = float(np.linalg.norm(x @ y - b) / (1.0 + np.linalg.norm(b)))
-    return SolutionPair(x, y, residual)
+    return SolutionPair(x, y, _relative_residual(b, x, y))
 
 
 def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray,
@@ -195,7 +211,7 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
         raise InputError(f"ambient dimension {d} below |xs| + |ys| = {n + m}")
 
     def well_posed(mat: np.ndarray) -> bool:
-        sv = np.linalg.svd(mat, compute_uv=False)
+        sv = svd(mat, compute_uv=False)
         return sv[-1] > 1e-8 * (1.0 + sv[0])
 
     rng = np.random.default_rng(seed)
@@ -291,7 +307,7 @@ def approx_factorization(b, x0, y0, test_vectors, eps: float,
         raise InfeasibleError(
             f"achieved residual {worst:g} not below eps={eps:g} at dimension {d}", worst
         )
-    residual = float(np.linalg.norm(xn @ yn - b) / (1.0 + np.linalg.norm(b)))
-    if residual > _RESIDUAL_TOL:
+    residual = _relative_residual(b, xn, yn)
+    if not residual <= _RESIDUAL_TOL:
         raise InfeasibleError(f"product drifted to relative residual {residual:g}", residual)
     return SolutionPair(xn, yn, residual)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, rank_from_values
-from .errors import InputError, as_columns, as_operator, as_subspace, check_no_overflow, check_positive
+from ._linalg import RANK_RCOND, rank_from_values, svd
+from .errors import InputError, as_columns, as_operator, as_subspace, check_positive
 from .errors import check_spectrum, check_tolerance, frozen
 
 __all__ = [
@@ -38,34 +38,14 @@ __all__ = [
 def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns.
 
-    Columns of ``m`` that are exactly zero contribute exact coordinate basis
-    vectors; the rest of the kernel comes from an SVD of the nonzero-column
-    block.  The split keeps kernels of axis-aligned constraints exact in
-    floating point, which the diagonal-model experiments rely on.
+    The kernel of a monomial ``m``, such as an axis-aligned constraint
+    block, comes out as exact coordinate vectors (see :func:`svd`), which
+    the diagonal-model experiments rely on.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    n = m.shape[1]
-    if m.shape[0] == 0:
-        return np.eye(n)
-    zero_cols = np.where(~m.any(axis=0))[0]
-    live_cols = np.where(m.any(axis=0))[0]
-    blocks = []
-    if zero_cols.size:
-        coord = np.zeros((n, zero_cols.size))
-        coord[zero_cols, np.arange(zero_cols.size)] = 1.0
-        blocks.append(coord)
-    if live_cols.size:
-        sub = m[:, live_cols]
-        # only a wide block needs full factors; a tall block's full u can be huge
-        _, sv, vh = np.linalg.svd(sub, full_matrices=sub.shape[0] < sub.shape[1])
-        rank = rank_from_values(sv, rcond)
-        if rank < sub.shape[1]:
-            emb = np.zeros((n, sub.shape[1] - rank))
-            emb[live_cols, :] = vh[rank:].T
-            blocks.append(emb)
-    if not blocks:
-        return np.zeros((n, 0))
-    return np.hstack(blocks)
+    # only a wide matrix needs full factors; a tall matrix's full u can be huge
+    _, sv, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vh[rank_from_values(sv, rcond):].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,52 +132,16 @@ class Ellipsoid:
         return self.spectrum.rank
 
 
-def _svd(a: np.ndarray, compute_uv: bool = True):
-    """Thin SVD of a finite matrix, as ``np.linalg.svd(a, full_matrices=False)``.
-
-    A *monomial* matrix, with at most one nonzero per row and per column,
-    is decomposed exactly: its singular values are its sorted ``|entries|``,
-    their signs go into ``u``, and unused coordinates fill the remaining
-    columns of ``u`` and rows of ``vh``.  gesdd can lose the relative
-    accuracy of such a graded diagonal (Demmel & Kahan 1990), and the
-    dichotomy tower's generators are all monomial.  Every other matrix goes
-    to gesdd.  Singular values that overflow are refused.
-    """
-    nz = a != 0
-    if nz.sum(axis=0).max() > 1 or nz.sum(axis=1).max() > 1:
-        out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
-        check_no_overflow(out[1] if compute_uv else out, "singular values")
-        return out
-    rows, cols = np.nonzero(nz)
-    vals = a[rows, cols]
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals, rows, cols = vals[order], rows[order], cols[order]
-    m, n = a.shape
-    k = min(m, n)
-    sv = np.zeros(k)
-    sv[: vals.size] = np.abs(vals)
-    if not compute_uv:
-        return sv
-    fill = np.arange(vals.size, k)
-    u = np.zeros((m, k))
-    u[rows, np.arange(vals.size)] = np.sign(vals)
-    u[np.flatnonzero(~nz.any(axis=1))[: fill.size], fill] = 1.0
-    vh = np.zeros((k, n))
-    vh[np.arange(vals.size), cols] = 1.0
-    vh[fill, np.flatnonzero(~nz.any(axis=0))[: fill.size]] = 1.0
-    return u, sv, vh
-
-
 def singular_spectrum(a, rcond: float = RANK_RCOND) -> SingularSpectrum:
     """Singular values of ``a`` in nonincreasing order, with rank cutoff."""
-    values = _svd(as_operator(a), compute_uv=False)
+    values = svd(as_operator(a), compute_uv=False)
     return SingularSpectrum(values=values, rank=rank_from_values(values, rcond))
 
 
 def ellipsoid(a, rcond: float = RANK_RCOND) -> Ellipsoid:
     """Build the ellipsoid ``a(B)`` with its SVD data cached."""
     arr = as_operator(a, "generator")
-    u, sv, vh = _svd(arr)
+    u, sv, vh = svd(arr)
     rank = rank_from_values(sv, rcond)
     return Ellipsoid(
         generator=arr,

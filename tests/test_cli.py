@@ -412,6 +412,23 @@ def test_overflow_error_is_the_only_stderr_line(tmp_path, argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+def test_factor_residual_when_the_norm_of_b_overflows(tmp_path):
+    # ||B||_F overflows although B is finite; X Y = B exactly all the same
+    write_matrix(tmp_path / "M.mat", np.full((3, 3), 1e308))
+    proc = run_child([sys.executable, "-m", "widthlab", "factor", "--b", "M.mat"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "residual: 0\n", "")
+
+
+def test_solve_xay_residual_when_x_a_overflows(tmp_path):
+    # X A reaches 1e450 before Y brings the product back to B
+    write_matrix(tmp_path / "H.mat", np.diag([1e300, 1.0, 1e-300]))
+    proc = run_child([sys.executable, "-m", "widthlab", "solve-xay", "--a", "H.mat", "--b", "H.mat"],
+                     tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    label, value = proc.stdout.split()
+    assert label == "residual:" and 0.0 <= float(value) <= 1e-9
+
+
 # --json reports against the rendering they replace: every real, array
 # entries included, a 17-digit string, then json.dumps(indent=2, sort_keys=True)
 

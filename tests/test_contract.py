@@ -113,3 +113,20 @@ def test_no_module_imports_private_names_of_another():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_only_linalg_calls_numpy_svd():
+    # every decomposition goes through _linalg.svd, which is exact on
+    # monomial matrices and refuses overflow
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "svd" and \
+                    isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                offenders += [f"{path.name}:{node.lineno}: from numpy.linalg import {alias.name}"
+                              for alias in node.names if alias.name == "svd"]
+    assert offenders == []
