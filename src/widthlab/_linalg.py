@@ -1,5 +1,5 @@
-"""The SVD, the rank cutoff, the Gram-matrix norm and the PSD margin that
-every verdict rests on.
+"""The SVD, the rank cutoff, the Gram-matrix norm, the PSD margin and the
+power-of-two rescale that every verdict rests on.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -51,6 +51,18 @@ def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
     return u, sv, vh
 
 
+def pow2_scaled(a: np.ndarray, grow: bool = True) -> tuple[np.ndarray, int]:
+    """``(a * 2**-e, e)`` for the binary exponent ``e`` of ``max|a|``, so the
+    largest scaled entry lies in [1/2, 1).  ``np.ldexp`` only shifts
+    exponents: the scaling is exact unless small entries underflow, and
+    ``e`` may be any exponent a double has, subnormal ones included.  With
+    ``grow=False`` ``e`` is floored at 0, so ``a`` is never scaled up."""
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    if not grow:
+        e = max(e, 0)
+    return np.ldexp(a, -e), e
+
+
 def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND) -> int:
     """Number of nonincreasing singular values above ``rcond * s_1``."""
     if values.size == 0:
@@ -79,7 +91,7 @@ def psd_margin(g1: np.ndarray, g2: np.ndarray, n1: float, n2: float) -> float:
     reads ``margin >= -tol``."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         diff = g1 - g2
-        sym = 0.5 * (diff + diff.T)
+        sym = 0.5 * diff + 0.5 * diff.T  # halves first: diff + diff.T can overflow
     scale = 1.0 + max(n1, n2)
     check_no_overflow(sym, "Gram matrix entries")
     check_no_overflow(scale, "squared norms")

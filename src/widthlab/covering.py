@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gram_top, psd_margin, rank, rank_from_values, svd
+from ._linalg import gram_top, pow2_scaled, psd_margin, rank, rank_from_values, svd
 from .errors import InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
 from .seqlab import (
@@ -162,10 +162,9 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
     if margin < -tol:
         return CoverCertificate(False, margin)
     # a power of two scales T exactly, so T T^T cannot overflow where T can
-    scale = 2.0 ** -int(np.frexp(np.max(np.abs(t)))[1])
-    st = scale * t
+    st, e = pow2_scaled(t)
     tt = st @ st.T if t.shape[0] <= t.shape[1] else st.T @ st
-    return CoverCertificate(True, margin, witness=t, norm=math.sqrt(gram_top(tt)) / scale)
+    return CoverCertificate(True, margin, witness=t, norm=float(np.ldexp(math.sqrt(gram_top(tt)), e)))
 
 
 def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._linalg import rank, rank_from_values, svd
+from ._linalg import pow2_scaled, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
 from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, check_seed, frozen
 from .seqlab import MajorizationVerdict, SequenceModel, majorizes
@@ -44,12 +44,11 @@ def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
     underflow), so a finite ``B`` whose norm overflows still gets its true
     ratio.  A product that overflows anyway is refused.
     """
-    scale = 2.0 ** -max(int(np.frexp(np.max(np.abs(b)))[1]), 0)
-    sb = scale * b
+    sb, e = pow2_scaled(b, grow=False)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        product = reduce(np.matmul, factors[1:], scale * factors[0])
+        product = reduce(np.matmul, factors[1:], np.ldexp(factors[0], -e))
         check_no_overflow(product, "factor products")
-        return float(np.linalg.norm(product - sb) / (scale + np.linalg.norm(sb)))
+        return float(np.linalg.norm(product - sb) / (np.ldexp(1.0, -e) + np.linalg.norm(sb)))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,21 @@ same ratio.  Distinctness of the betas then forces every axis pair onto
 itself: the oriented source/target graph has out-degree at least 2 but
 in-degree at most 1 at every non-fixed axis, which no finite graph admits.
 
-The search below enumerates all candidate bijections with that pruning,
-solves each survivor for a linear ``D`` by least squares, and applies the
-norm cap; at truncation scale only the identity survives.
+The search works on axes, not points.  A linear ``D`` pins each source axis,
+``D e_m = c e_j``, so both points of axis ``m`` land on axis ``j``, either
+straight (``alpha_m -> alpha_j``, which needs ``beta_m = beta_j``) or
+swapped (``alpha_m beta_m -> alpha_j``, which needs ``beta_m beta_j = 1``).
+This ratio-match relation, with ratios compared to the relative tolerance
+``_RATIO_TOL``, is computed once; the covers are the axis bijections drawn
+from it, each an exact monomial ``D`` of norm ``max c``, and the degree
+certificates count its entries.  The validator refuses every spec whose
+relation holds more than the identity.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +41,12 @@ __all__ = [
     "rigid_cover_search",
 ]
 
-# Point-map space grows super-exponentially; refuse beyond this size.
+# Axis bijections grow factorially; refuse beyond this size.
 MAX_TRUNCATION = 7
 
-_LSTSQ_TOL = 1e-10
 _RATIO_TOL = 1e-12
+# A cover's norm may exceed the bound by this relative round-off.
+_NORM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,15 @@ class RigidCompactSpec:
             raise InputError("consecutive alpha ratios must decrease strictly")
         if any(not 0.5 < b < 1.0 for b in self.betas):
             raise InputError("betas must lie in the open interval (1/2, 1)")
-        if any(_close(b1, b2) for b1, b2 in itertools.combinations(self.betas, 2)):
-            raise InputError(f"betas must be pairwise distinct (relative gap above {_RATIO_TOL:g})")
+        for j, row in enumerate(_relation(self)):
+            for m, swapped, _ in row:
+                bm, bj = self.betas[m], self.betas[j]
+                if swapped:
+                    raise InputError(f"betas must stay clear of 1 (no product of two within "
+                                     f"relative {_RATIO_TOL:g} of 1): {bm!r} * {bj!r} is not")
+                if m != j:
+                    raise InputError(f"betas must be pairwise distinct (relative gap above "
+                                     f"{_RATIO_TOL:g}): {bm!r} and {bj!r} are not")
 
 
 @dataclass(frozen=True)
@@ -98,67 +113,32 @@ def build_rigid_compact(spec: RigidCompactSpec) -> np.ndarray:
     return pts
 
 
-def _point_table(spec: RigidCompactSpec):
-    """Nonzero points as (axis, scalar); index k is alpha_k e_k, n+k its mate."""
-    axes, scalars = [], []
-    for k in range(spec.n):
-        axes.append(k)
-        scalars.append(spec.alphas[k])
-    for k in range(spec.n):
-        axes.append(k)
-        scalars.append(spec.alphas[k] * spec.betas[k])
-    return axes, scalars
-
-
 def _close(x: float, y: float) -> bool:
     return abs(x - y) <= _RATIO_TOL * max(abs(x), abs(y))
 
 
-def _edge_graph_stats(spec: RigidCompactSpec) -> EdgeGraphStats:
-    """Exhaustive local analysis of the oriented preimage graph.
+def _relation(spec: RigidCompactSpec) -> list[list[tuple[int, bool, float]]]:
+    """For each target axis ``j``, every ``(m, swapped, c)`` with
+    ``D e_m = c e_j`` mapping both points of source axis ``m`` onto the two
+    of axis ``j``: straight or swapped.  ``(j, False, 1.0)`` is the identity
+    and always present."""
+    a, b = spec.alphas, spec.betas
+    return [[(m, swapped, a[j] / (a[m] * b[m] if swapped else a[m]))
+             for m in range(spec.n) for swapped in (False, True)
+             if (_close(b[m] * b[j], 1.0) if swapped else _close(b[m], b[j]))]
+            for j in range(spec.n)]
 
-    Out-degree: for a target axis whose pair is not fixed, enumerate every
-    pairwise-consistent choice of sources for its two points and count the
-    distinct source axes used.  In-degree: for a source axis, count target
-    axes that could absorb both of its (collinear, ratio beta_m) points.
-    """
-    n = spec.n
-    if n < 2:
+
+def _edge_graph_stats(relation: list) -> EdgeGraphStats:
+    """Out-degree: a non-fixed target axis takes its two points from one
+    source axis only through a relation entry other than the identity, and
+    from two axes otherwise.  In-degree: the number of target axes that a
+    source axis has an entry for."""
+    if len(relation) < 2:
         return EdgeGraphStats(None, None)
-    axes, scalars = _point_table(spec)
-    npts = 2 * n
-
-    out_min = None
-    for i in range(n):
-        targets = (spec.alphas[i], spec.alphas[i] * spec.betas[i])
-        for s1, s2 in itertools.permutations(range(npts), 2):
-            if (s1, s2) == (i, n + i):
-                continue  # the fixed (identity) option
-            m1, m2 = axes[s1], axes[s2]
-            if m1 == m2:
-                # both sources on one axis: D-collinearity forces the image
-                # ratio to equal beta_{m1}, i.e. beta_i == beta_{m1}
-                k1 = targets[0] / scalars[s1]
-                k2 = targets[1] / scalars[s2]
-                if not _close(k1, k2):
-                    continue
-            used = len({m1, m2})
-            out_min = used if out_min is None else min(out_min, used)
-
-    in_max = 0
-    for m in range(n):
-        feeds = 0
-        for j in range(n):
-            # images of (p_m, q_m) must be two axis-j points with ratio beta_m
-            t_candidates = (spec.alphas[j], spec.alphas[j] * spec.betas[j])
-            ok = any(
-                _close(t2 / t1, spec.betas[m])
-                for t1, t2 in itertools.permutations(t_candidates, 2)
-            )
-            if ok:
-                feeds += 1
-        in_max = max(in_max, feeds)
-    return EdgeGraphStats(out_min, in_max)
+    out_min = 1 if any(len(row) > 1 for row in relation) else 2
+    feeds = Counter(m for row in relation for m in {entry[0] for entry in row})
+    return EdgeGraphStats(out_min, max(feeds.values()))
 
 
 def _norm_threshold(spec: RigidCompactSpec) -> float:
@@ -175,13 +155,10 @@ def _norm_threshold(spec: RigidCompactSpec) -> float:
 def rigid_cover_search(spec: RigidCompactSpec, norm_bound: float) -> CoverSearchReport:
     """Exhaustively certify that only the identity covers the compact.
 
-    Enumerates every preimage bijection of the nonzero points with three
-    prunings applied as soon as they can fire: source axes stay consistent
-    with a single linear pin ``D e_m = c e_j``; two points of one source
-    axis feed one target axis only; and the forced image of a used source's
-    axis mate must itself be a point of the compact.  Survivors are solved
-    for ``D`` by least squares on all point constraints (residual acceptance
-    1e-10) and kept when ``||D|| <= norm_bound``.
+    Counts the covers ``D`` with ``||D|| <= norm_bound`` (to a relative
+    ``1e-9``): a depth-first search over target axes picks, for each, an
+    unused source axis from the ratio-match relation, and a full pick is the
+    monomial ``D e_m = c e_j``, whose norm is its largest ``c``.
     """
     if not np.isfinite(norm_bound) or norm_bound < 1.0:
         raise InputError(f"norm bound must be at least 1, got {norm_bound}")
@@ -190,82 +167,19 @@ def rigid_cover_search(spec: RigidCompactSpec, norm_bound: float) -> CoverSearch
             f"combinatorial budget exceeded: truncation {spec.n} above the hard cap "
             f"n <= {MAX_TRUNCATION}"
         )
-    n = spec.n
-    axes, scalars = _point_table(spec)
-    npts = 2 * n
-    # target order axis-major so the within-axis constraint binds immediately
-    target_order = [t for k in range(n) for t in (k, n + k)]
+    relation = _relation(spec)
+    cap = norm_bound * (1.0 + _NORM_SLACK)
+    choices = [[m for m, _, c in row if c <= cap] for row in relation]
 
-    def point_index(axis: int, value: float) -> int | None:
-        for cand in (axis, n + axis):
-            if _close(scalars[cand], value):
-                return cand
-        return None
+    def count(j: int, used: int) -> int:
+        if j == spec.n:
+            return 1
+        return sum(count(j + 1, used | 1 << m) for m in choices[j] if not used >> m & 1)
 
-    survivors = []
-
-    def extend(pos: int, src, used, pins):
-        if pos == npts:
-            survivors.append(tuple(src))
-            return
-        t = target_order[pos]
-        t_axis, t_val = axes[t], scalars[t]
-        for s in range(npts):
-            if used[s]:
-                continue
-            m, c = axes[s], scalars[s]
-            coeff = t_val / c
-            prior = pins.get(m)
-            if prior is not None:
-                pj, pc = prior
-                if pj != t_axis or not _close(pc, coeff):
-                    continue
-                new_pin = None
-            else:
-                # the axis mate of s is also pinned now; its image must be a
-                # compact point or the bijection cannot complete
-                mate = s + n if s < n else s - n
-                forced = coeff * scalars[mate]
-                if point_index(t_axis, forced) is None:
-                    continue
-                new_pin = (m, (t_axis, coeff))
-            if new_pin is not None:
-                pins[m] = new_pin[1]
-            used[s] = True
-            src[t] = s
-            extend(pos + 1, src, used, pins)
-            used[s] = False
-            src[t] = -1
-            if new_pin is not None:
-                del pins[m]
-
-    extend(0, [-1] * npts, [False] * npts, {})
-
-    # least-squares solve and norm test for every surviving assignment
-    sources = np.zeros((n, npts))
-    targets_mat = np.zeros((n, npts))
-    scale = max(spec.alphas)
-    identity_assignment = tuple(range(npts))
-    admissible = []
-    for assignment in survivors:
-        for t in range(npts):
-            s = assignment[t]
-            sources[:, t] = 0.0
-            targets_mat[:, t] = 0.0
-            sources[axes[s], t] = scalars[s]
-            targets_mat[axes[t], t] = scalars[t]
-        d = np.linalg.lstsq(sources.T, targets_mat.T, rcond=None)[0].T
-        residual = float(np.max(np.abs(d @ sources - targets_mat)))
-        if residual > _LSTSQ_TOL * scale:
-            continue
-        if float(np.linalg.norm(d, 2)) > norm_bound * (1.0 + 1e-9):
-            continue
-        admissible.append(assignment)
-
-    identity_only = admissible == [identity_assignment]
+    admissible = count(0, 0)
     return CoverSearchReport(
-        identity_only=identity_only,
-        admissible_maps=len(admissible),
+        identity_only=admissible == 1,
+        admissible_maps=admissible,
         max_norm_bound=_norm_threshold(spec),
-        edge_graph_stats=_edge_graph_stats(spec),
+        edge_graph_stats=_edge_graph_stats(relation),
     )

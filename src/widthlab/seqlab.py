@@ -230,7 +230,7 @@ _DECAY_ORDER = {_POW: 0, _GEOM: 1, _SUPER: 2}
 @dataclass(frozen=True)
 class _Canon:
     kind: str
-    scale: float
+    log_scale: float
     param: float | None
     offset: int
     values: tuple | None = None
@@ -238,7 +238,7 @@ class _Canon:
     def log_term(self, n: int) -> float:
         if self.kind == _SAMPLES:
             return math.log(self.values[n])
-        base = math.log(self.scale)
+        base = self.log_scale
         m = n + self.offset
         if self.kind == _GEOM:
             return base + m * math.log(self.param)
@@ -249,28 +249,28 @@ class _Canon:
 
 def _canon(model: SequenceModel) -> _Canon:
     if isinstance(model, Samples):
-        return _Canon(_SAMPLES, 1.0, None, 0, model.values)
+        return _Canon(_SAMPLES, 0.0, None, 0, model.values)
     if isinstance(model, Geometric):
-        return _Canon(_GEOM, 1.0, model.q, 0)
+        return _Canon(_GEOM, 0.0, model.q, 0)
     if isinstance(model, Power):
-        return _Canon(_POW, 1.0, model.p, 0)
+        return _Canon(_POW, 0.0, model.p, 0)
     if isinstance(model, SuperGeometric):
-        return _Canon(_SUPER, 1.0, model.b, 0)
+        return _Canon(_SUPER, 0.0, model.b, 0)
     if isinstance(model, Shifted):
         c = _canon(model.inner)
         if c.kind == _SAMPLES:
             if model.k >= len(c.values):
                 raise InputError(f"shift {model.k} exhausts a {len(c.values)}-term samples model")
-            return _Canon(_SAMPLES, 1.0, None, 0, c.values[model.k:])
+            return _Canon(_SAMPLES, 0.0, None, 0, c.values[model.k:])
         if c.kind == _GEOM:
             # a shift of a geometric sequence is the same sequence rescaled
-            return _Canon(_GEOM, c.scale * c.param**model.k, c.param, 0)
-        return _Canon(c.kind, c.scale, c.param, c.offset + model.k)
+            return _Canon(_GEOM, c.log_scale + model.k * math.log(c.param), c.param, 0)
+        return _Canon(c.kind, c.log_scale, c.param, c.offset + model.k)
     if isinstance(model, Scaled):
         c = _canon(model.inner)
         if c.kind == _SAMPLES:
-            return _Canon(_SAMPLES, 1.0, None, 0, tuple(model.c * v for v in c.values))
-        return _Canon(c.kind, c.scale * model.c, c.param, c.offset)
+            return _Canon(_SAMPLES, 0.0, None, 0, tuple(model.c * v for v in c.values))
+        return _Canon(c.kind, c.log_scale + math.log(model.c), c.param, c.offset)
     raise InputError(f"unknown sequence model {model!r}")
 
 
@@ -293,6 +293,11 @@ class _RatioProfile:
     sup: float | None
 
 
+def _exp_clamped(x: float) -> float:
+    """``exp(x)``, read as infinite where it would overflow."""
+    return math.exp(x) if x < 700.0 else math.inf
+
+
 def _profile(a: _Canon, b: _Canon) -> _RatioProfile:
     """Exact behaviour of ``r_n = b_n / a_n`` for parametric models.
 
@@ -305,8 +310,7 @@ def _profile(a: _Canon, b: _Canon) -> _RatioProfile:
 
     def sup_at(candidates) -> float:
         ns = sorted({max(0, int(c)) for c in candidates})
-        best = max(lr(n) for n in ns)
-        return math.exp(best) if best < 700.0 else math.inf
+        return _exp_clamped(max(lr(n) for n in ns))
 
     def around(v: float):
         if not math.isfinite(v):
@@ -345,7 +349,7 @@ def _profile(a: _Canon, b: _Canon) -> _RatioProfile:
         if a.offset >= b.offset:
             return _RatioProfile(True, False, sup_at((0,)))
         # ratio increases toward its limit scale_b / scale_a
-        return _RatioProfile(True, False, b.scale / a.scale)
+        return _RatioProfile(True, False, _exp_clamped(b.log_scale - a.log_scale))
 
     # both super-geometric
     la, lb = math.log(a.param), math.log(b.param)

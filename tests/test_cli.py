@@ -134,6 +134,28 @@ class TestVerdictCommands:
         code, _, err = invoke(capsys, ["rigid", "--spec", path, "--norm-bound", "10"])
         assert code == 1 and "distinct" in err
 
+    def test_rigid_rejects_a_beta_the_search_takes_for_one(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 2, "alphas": [1, 0.5], "betas": [0.6, 0.99999999999999]}))
+        code, out, err = invoke(capsys, ["rigid", "--spec", path, "--norm-bound", "10"])
+        assert code == 1 and out == "" and "stay clear of 1" in err
+
+    def test_cover_test_with_a_subnormal_operator(self, tmp_path, capsys):
+        write_matrix(tmp_path / "T.mat", 1e-310 * np.eye(3))
+        write_matrix(tmp_path / "I.mat", np.eye(3))
+        write_matrix(tmp_path / "Z.mat", np.zeros((3, 3)))
+        code, out, err = invoke(capsys, ["cover-test", "--t", tmp_path / "T.mat",
+                                         "--e1", tmp_path / "I.mat", "--e2", tmp_path / "Z.mat"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "covers:     True"
+        assert float(out.splitlines()[-1].split()[-1]) == 1e-310
+
+    @pytest.mark.parametrize("a, b", [("shift(2000, geom(0.5))", "geom(0.5)"),
+                                      ("scale(1e-200, scale(1e-200, pow(1)))", "pow(1)")])
+    def test_classify_wg_with_a_scale_below_double_range(self, a, b, capsys):
+        code, out, err = invoke(capsys, ["classify-wg", "--a", a, "--b", b])
+        assert (code, out, err) == (0, "Everything\n", "")
+
     def test_widths_reads_the_file_once(self, workdir, capsys, monkeypatch):
         reads = []
 

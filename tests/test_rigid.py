@@ -30,6 +30,14 @@ class TestSpecValidation:
                                 betas=(0.6, 0.6 + 1e-11, 0.7, 0.8))
         assert rigid_cover_search(spec, norm_bound=10.0).identity_only
 
+    def test_betas_whose_product_is_one(self):
+        # beta^2 = 1 - 2e-14 passes for 1, so the search would also admit
+        # the map that swaps the two points of that axis
+        with pytest.raises(InputError, match="stay clear of 1"):
+            RigidCompactSpec(n=2, alphas=(1.0, 0.5), betas=(0.6, 1 - 1e-14))
+        with pytest.raises(InputError, match="stay clear of 1"):
+            RigidCompactSpec(n=1, alphas=(1.0,), betas=(1 - 1e-13,))
+
     def test_betas_out_of_interval(self):
         with pytest.raises(InputError, match=r"\(1/2, 1\)"):
             RigidCompactSpec(n=1, alphas=(1.0,), betas=(0.4,))
@@ -91,6 +99,10 @@ class TestSearch:
     def test_norm_bound_floor(self):
         with pytest.raises(InputError, match="at least 1"):
             rigid_cover_search(tower_spec(2), norm_bound=0.5)
+
+    def test_search_makes_no_decomposition(self, linalg_calls):
+        rigid_cover_search(tower_spec(7), norm_bound=10.0)
+        assert linalg_calls == {"svd": 0, "eigvalsh": 0}
 
     def test_degree_invariants_across_specs(self):
         for spec in (tower_spec(2),

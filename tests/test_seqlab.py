@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,19 @@ class TestMajorization:
         assert v.constant == pytest.approx(1.0)
         v2 = majorizes(Scaled(0.2, Power(2.0)), Shifted(3, Power(2.0)))
         assert v2.constant == pytest.approx(5.0)
+
+    def test_scales_beyond_double_range(self):
+        # 2^2000 and 1e400 overflow: the constant reads infinite, not a
+        # math domain error from the log of an underflowed scale
+        v = majorizes(Shifted(2000, Geometric(0.5)), Geometric(0.5))
+        assert v.holds and v.exact and v.constant == math.inf
+        v = majorizes(Scaled(1e-200, Scaled(1e-200, Power(1.0))), Power(1.0))
+        assert v.holds and v.exact and v.constant == math.inf
+        # the power-law limit scale_b / scale_a goes through the same clamp
+        v = majorizes(Scaled(1e-200, Scaled(1e-200, Power(2.0))), Shifted(3, Power(2.0)))
+        assert v.holds and v.constant == math.inf
+        v = majorizes(Scaled(1e-20, Scaled(1e-20, Power(2.0))), Shifted(3, Power(2.0)))
+        assert v.constant == pytest.approx(1e40, rel=1e-12)
 
     def test_constant_dominates_every_window_ratio(self):
         # validity sweep: the exact minimal C is an upper bound for the
