@@ -8,6 +8,10 @@ output byte-identical across runs for identical argv.
 
 Exit codes: 0 when a verdict was produced (even a negative one), 1 on input
 errors, 2 on internal errors.
+
+Each handler calls the library through its module (``covering.covers``),
+and the package loads a module on its first use, so a command loads only
+what it runs: the sequence-model commands never load numpy.
 """
 
 from __future__ import annotations
@@ -20,42 +24,16 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from . import (
-    DEFAULT_WINDOW,
+from . import covering, equations, expanding, matrixio, rigid, seqlab, spectra
+from .errors import (
     PSD_TOL,
-    RATIO_THRESHOLD,
     ClassificationError,
     InfeasibleError,
     InputError,
     NotCoverableError,
     UnsolvableError,
     WidthlabError,
-    classify_WCG,
-    classify_WE,
-    classify_WG,
-    covers,
-    ellipsoid,
-    expanding_dual_check,
-    factor_pair,
-    find_separating_projection,
-    is_expanding,
-    is_lacunary,
-    is_weakly_full,
-    kolmogorov_widths,
-    match_invertible,
-    parse_model,
-    range_equiv,
-    read_matrix,
-    rigid_cover_search,
-    schmidt_cover,
-    section_spectrum,
-    solve_xay,
-    wot_density_experiment,
-    write_matrix,
 )
-from .rigid import RigidCompactSpec
 
 __all__ = ["run", "main"]
 
@@ -71,7 +49,8 @@ def _jsonify(obj, arrays: list):
         return obj
     if isinstance(obj, float):
         return _fmt(obj)
-    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
+    np = sys.modules.get("numpy")  # never imported: no value is a numpy one
+    if np is not None and isinstance(obj, np.ndarray) and obj.ndim in (1, 2):
         arrays.append(obj)
         return f"{_ARRAY_MARK}{len(arrays) - 1}"
     if dataclasses.is_dataclass(obj):
@@ -80,9 +59,9 @@ def _jsonify(obj, arrays: list):
         return {str(k): _jsonify(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v, arrays) for v in obj]
-    if isinstance(obj, (np.floating,)):
+    if np is not None and isinstance(obj, np.floating):
         return _fmt(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
     raise WidthlabError(f"internal: cannot serialize {type(obj)!r}")
 
@@ -93,10 +72,10 @@ _ARRAY_MARK = "\0array:"
 _PLACEHOLDER = re.compile(r'^( *)(.*)"\\u0000array:(\d+)"', re.MULTILINE)
 
 
-def _array_json(a: np.ndarray, indent: str) -> str:
+def _array_json(a, indent: str) -> str:
     """``json.dumps(indent=2)`` of ``a`` as nested lists of 17-digit strings,
     opening on a line indented by ``indent``: one template, filled once."""
-    a = np.asarray(a, dtype=float)
+    a = a.astype(float, copy=False)
     template = '"%.17g"'
     for depth in range(a.ndim, 0, -1):  # innermost level first
         pad = indent + "  " * (depth - 1)
@@ -150,7 +129,7 @@ def _tag_line(verdict) -> str:
     return verdict.tag
 
 
-def _read_rigid_spec(path: str) -> RigidCompactSpec:
+def _read_rigid_spec(path: str) -> rigid.RigidCompactSpec:
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = json.load(fh)
@@ -166,10 +145,10 @@ def _read_rigid_spec(path: str) -> RigidCompactSpec:
     if type(n) is not int or not all(isinstance(v, list) and all(type(x) in (int, float) for x in v)
                                      for v in (alphas, betas)):
         raise InputError(f"{path}: n must be an integer, alphas and betas arrays of numbers")
-    return RigidCompactSpec(n=n, alphas=tuple(alphas), betas=tuple(betas))
+    return rigid.RigidCompactSpec(n=n, alphas=tuple(alphas), betas=tuple(betas))
 
 
-@functools.cache  # one parser per process; handlers look library functions up at call time
+@functools.cache  # one parser per process; handlers find library functions on their modules at call time
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="widthlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -189,8 +168,10 @@ def _build_parser() -> _ArgumentParser:
 
     p = cmd("classify-seq", "lacunarity verdict for a sequence model", _classify_seq)
     p.add_argument("--model", required=True, help="sequence model expression")
-    p.add_argument("--tau", type=float, default=RATIO_THRESHOLD, help="windowed ratio threshold (default %(default)s)")
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="surrogate window length (default %(default)s)")
+    p.add_argument("--tau", type=float, default=seqlab.RATIO_THRESHOLD,
+                   help="windowed ratio threshold (default %(default)s)")
+    p.add_argument("--window", type=int, default=seqlab.DEFAULT_WINDOW,
+                   help="surrogate window length (default %(default)s)")
 
     p = cmd("cover-test", "does T map one ellipsoid over another?", _cover_test)
     p.add_argument("--t", required=True, help="operator matrix file")
@@ -267,9 +248,13 @@ def _build_parser() -> _ArgumentParser:
     return top
 
 
+def _read_ellipsoid(path: str):
+    return spectra.ellipsoid(matrixio.read_matrix(path))
+
+
 def _widths(args) -> None:
-    e = ellipsoid(read_matrix(args.matrix))
-    spec, widths = e.spectrum, kolmogorov_widths(e)
+    e = _read_ellipsoid(args.matrix)
+    spec, widths = e.spectrum, spectra.kolmogorov_widths(e)
     _emit(args, {"s_numbers": spec.values, "widths": widths.values, "rank": spec.rank},
           [f"s-numbers: {' '.join(_fmt(v) for v in spec.values)}",
            f"widths:    {' '.join(_fmt(v) for v in widths.values)}",
@@ -277,15 +262,15 @@ def _widths(args) -> None:
 
 
 def _section(args) -> None:
-    e = ellipsoid(read_matrix(args.matrix))
-    spec = section_spectrum(e, read_matrix(args.subspace))
+    e = _read_ellipsoid(args.matrix)
+    spec = spectra.section_spectrum(e, matrixio.read_matrix(args.subspace))
     _emit(args, {"section_s_numbers": spec.values, "rank": spec.rank},
           [f"section s-numbers: {' '.join(_fmt(v) for v in spec.values)}",
            f"rank:              {spec.rank}"])
 
 
 def _classify_seq(args) -> None:
-    verdict = is_lacunary(parse_model(args.model), tau=args.tau, window=args.window)
+    verdict = seqlab.is_lacunary(seqlab.parse_model(args.model), tau=args.tau, window=args.window)
     _emit(args, verdict,
           [f"lacunary:      {verdict.lacunary}",
            f"witness ratio: {_fmt(verdict.witness_ratio)}",
@@ -293,8 +278,8 @@ def _classify_seq(args) -> None:
 
 
 def _cover_test(args) -> None:
-    cert = covers(read_matrix(args.t), ellipsoid(read_matrix(args.e1)),
-                  ellipsoid(read_matrix(args.e2)), tol=args.tol)
+    cert = covering.covers(matrixio.read_matrix(args.t), _read_ellipsoid(args.e1),
+                           _read_ellipsoid(args.e2), tol=args.tol)
     _emit(args, cert,
           [f"covers:     {cert.holds}",
            f"psd margin: {_fmt(cert.psd_margin)}"]
@@ -302,16 +287,16 @@ def _cover_test(args) -> None:
 
 
 def _cover_make(args) -> None:
-    d, c = schmidt_cover(ellipsoid(read_matrix(args.e1)), ellipsoid(read_matrix(args.e2)))
+    d, c = covering.schmidt_cover(_read_ellipsoid(args.e1), _read_ellipsoid(args.e2))
     if args.out:
-        write_matrix(args.out, d)
+        matrixio.write_matrix(args.out, d)
     _emit(args, {"norm": c, "operator": d},
           [f"norm: {_fmt(c)}"] + ([f"operator written to {args.out}"] if args.out else []))
 
 
 def _classify_wg(args, strict=False) -> None:
-    classify = classify_WCG if strict else classify_WG
-    verdict = classify(parse_model(args.a), parse_model(args.b), k_max=args.k_max)
+    classify = seqlab.classify_WCG if strict else seqlab.classify_WG
+    verdict = classify(seqlab.parse_model(args.a), seqlab.parse_model(args.b), k_max=args.k_max)
     _emit(args, verdict, [_tag_line(verdict)])
 
 
@@ -320,7 +305,7 @@ def _classify_wcg(args) -> None:
 
 
 def _range_equiv(args) -> None:
-    eq = range_equiv(read_matrix(args.matrix1), read_matrix(args.matrix2))
+    eq = covering.range_equiv(matrixio.read_matrix(args.matrix1), matrixio.read_matrix(args.matrix2))
     lines = [f"same range: {eq.same_range}"]
     if eq.same_range:
         lines.append(f"c: {_fmt(eq.c)}  C: {_fmt(eq.C)}")
@@ -328,14 +313,15 @@ def _range_equiv(args) -> None:
 
 
 def _weakly_full(args) -> None:
-    verdict = is_weakly_full(parse_model(args.model), args.codim)
+    verdict = seqlab.is_weakly_full(seqlab.parse_model(args.model), args.codim)
     _emit(args, verdict,
           [f"weakly full: {verdict.weakly_full}",
            f"case:        {verdict.case}"])
 
 
 def _dichotomy(args) -> None:
-    report = wot_density_experiment(parse_model(args.model), args.m, args.dims, args.seed)
+    model = seqlab.parse_model(args.model)
+    report = covering.wot_density_experiment(model, args.m, args.dims, args.seed)
     lines = ["dim  rho"] + [f"{d:<4d} {_fmt(r)}" for d, r in zip(report.dims, report.rho)]
     lines.append(f"model lacunary: {report.model_lacunary}")
     _emit(args, report, lines)
@@ -344,27 +330,27 @@ def _dichotomy(args) -> None:
 def _emit_pair(args, pair) -> None:
     """Write the factors of a solved pair where asked, then report it."""
     if args.out_x:
-        write_matrix(args.out_x, pair.X)
+        matrixio.write_matrix(args.out_x, pair.X)
     if args.out_y:
-        write_matrix(args.out_y, pair.Y)
+        matrixio.write_matrix(args.out_y, pair.Y)
     _emit(args, {"residual": pair.residual, "X": pair.X, "Y": pair.Y},
           [f"residual: {_fmt(pair.residual)}"])
 
 
 def _solve_xay(args) -> None:
-    _emit_pair(args, solve_xay(read_matrix(args.a), read_matrix(args.b)))
+    _emit_pair(args, equations.solve_xay(matrixio.read_matrix(args.a), matrixio.read_matrix(args.b)))
 
 
 def _factor(args) -> None:
-    _emit_pair(args, factor_pair(read_matrix(args.b)))
+    _emit_pair(args, equations.factor_pair(matrixio.read_matrix(args.b)))
 
 
 def _match_inv(args) -> None:
-    cert = match_invertible(read_matrix(args.xs).T, read_matrix(args.xs_target).T,
-                            read_matrix(args.ys).T, read_matrix(args.ys_target).T,
-                            eps=args.eps, seed=args.seed)
+    xs, xs_target, ys, ys_target = (matrixio.read_matrix(path).T for path in
+                                    (args.xs, args.xs_target, args.ys, args.ys_target))
+    cert = equations.match_invertible(xs, xs_target, ys, ys_target, eps=args.eps, seed=args.seed)
     if args.out:
-        write_matrix(args.out, cert.operator)
+        matrixio.write_matrix(args.out, cert.operator)
     _emit(args, cert,
           [f"condition:   {_fmt(cert.condition)}",
            f"x residuals: {' '.join(_fmt(r) for r in cert.x_residuals)}",
@@ -372,32 +358,32 @@ def _match_inv(args) -> None:
 
 
 def _separate(args) -> None:
-    p = find_separating_projection([read_matrix(f) for f in args.matrices])
+    p = covering.find_separating_projection([matrixio.read_matrix(f) for f in args.matrices])
     if args.out:
-        write_matrix(args.out, p)
-    rank = int(round(np.trace(p)))
+        matrixio.write_matrix(args.out, p)
+    rank = int(round(p.trace()))
     _emit(args, {"projection": p, "rank": rank}, [f"projection rank: {rank}"])
 
 
 def _expanding(args) -> None:
-    t, a = read_matrix(args.t), read_matrix(args.a)
-    verdict = is_expanding(t, a, tol=args.tol)
+    t, a = matrixio.read_matrix(args.t), matrixio.read_matrix(args.a)
+    verdict = expanding.is_expanding(t, a, tol=args.tol)
     payload = {"expanding": verdict.expanding, "margin": verdict.margin}
     lines = [f"expanding: {verdict.expanding}", f"margin:    {_fmt(verdict.margin)}"]
     if args.dual_check:
-        agree = expanding_dual_check(t, a)
+        agree = expanding.expanding_dual_check(t, a)
         payload["dual_agreement"] = agree
         lines.append(f"dual agreement: {agree}")
     _emit(args, payload, lines)
 
 
 def _classify_we(args) -> None:
-    verdict = classify_WE(parse_model(args.model), kernel_trivial=args.kernel_trivial)
+    verdict = expanding.classify_WE(seqlab.parse_model(args.model), kernel_trivial=args.kernel_trivial)
     _emit(args, verdict, [_tag_line(verdict)] + ([verdict.note] if verdict.note else []))
 
 
 def _rigid(args) -> None:
-    report = rigid_cover_search(_read_rigid_spec(args.spec), norm_bound=args.norm_bound)
+    report = rigid.rigid_cover_search(_read_rigid_spec(args.spec), norm_bound=args.norm_bound)
     _emit(args, report,
           [f"identity only:   {report.identity_only}",
            f"admissible maps: {report.admissible_maps}",

@@ -5,8 +5,9 @@ a positive-semidefinite test: the image ``M(B)`` contains ``N(B)`` exactly
 when ``N N^T ≼ M M^T`` (a contraction factors one generator through the
 other).  Everything else here is built on that certificate: minimal-norm
 Schmidt covers, interpolation-constrained covers, the dimension-tower
-dichotomy experiment, classification of covering closures by width-sequence
-asymptotics, operator-range equivalence, and weak fullness.
+dichotomy experiment and operator-range equivalence.  The classifications
+of covering closures and weak fullness read only the width sequences; they
+live in :mod:`seqlab` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,14 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import gram_top, pow2_scaled, psd_margin, rank, rank_from_values, svd
-from .errors import InputError, NotCoverableError, WidthlabError
+from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
-from .seqlab import (
-    LacunarityVerdict,
+from .seqlab import (  # the closure classifications live in seqlab; re-exported here
+    ALGEBRA_AK,
+    CASE_FINITE_CODIM,
+    CASE_LACUNARY,
+    CASE_NON_LACUNARY,
+    EMPTY,
+    EVERYTHING,
+    KDIM,
+    ClassificationVerdict,
     SequenceModel,
+    WeakFullnessVerdict,
+    classify_WCG,
+    classify_WG,
     is_lacunary,
+    is_weakly_full,
     sample,
-    shift_search,
 )
 from .spectra import (
     Ellipsoid,
@@ -56,18 +67,9 @@ __all__ = [
     "is_weakly_full",
 ]
 
-# Default PSD slack: holds iff lambda_min >= -PSD_TOL * (1 + lambda_max).
-PSD_TOL = 1e-9
-
 # |scaled margin| below this is decided by round-off, not mathematics;
 # oracle-agreement statistics exclude such instances.
 MARGIN_BAND = 1e-6
-
-EVERYTHING = "Everything"
-ALGEBRA_AK = "AlgebraAK"
-KDIM = "KDim"
-EMPTY = "Empty"
-_TAGS = frozenset({EVERYTHING, ALGEBRA_AK, KDIM, EMPTY})
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,23 +93,6 @@ class CoverCertificate:
 
 
 @dataclass(frozen=True)
-class ClassificationVerdict:
-    """Closure classification: everything, an invariant-subspace algebra,
-    a k-dimensional quotient condition, or empty."""
-
-    tag: str
-    k: int | None = None
-    exact: bool = True
-    note: str = ""
-
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise InputError(f"unknown classification tag {self.tag!r}")
-        if (self.tag == KDIM) != (self.k is not None):
-            raise InputError("k must be supplied exactly for KDim verdicts")
-
-
-@dataclass(frozen=True)
 class DichotomyReport:
     """Per-dimension covering fractions of the constrained-cover experiment."""
 
@@ -125,20 +110,6 @@ class RangeEquivalence:
     same_range: bool
     c: float | None = None
     C: float | None = None
-
-
-CASE_FINITE_CODIM = "finite-codimension"
-CASE_NON_LACUNARY = "infinite-codimension-non-lacunary"
-CASE_LACUNARY = "infinite-codimension-lacunary"
-
-
-@dataclass(frozen=True)
-class WeakFullnessVerdict:
-    """Weak fullness of the algebra preserving an operator range."""
-
-    weakly_full: bool
-    case: str
-    lacunarity: LacunarityVerdict
 
 
 # ----------------------------------------------------------------------
@@ -279,46 +250,7 @@ def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> Dic
 
 
 # ----------------------------------------------------------------------
-# Classification of covering closures
-# ----------------------------------------------------------------------
-
-def classify_WG(a: SequenceModel, b: SequenceModel, k_max: int = 16) -> ClassificationVerdict:
-    """Classify the closure of ``{T : T K1 ⊇ K2}`` from the width sequences.
-
-    Empty when ``a`` fails to majorize ``b``; Everything when every left
-    shift of ``a`` still majorizes ``b``; otherwise the largest majorizing
-    shift ``k`` bounds the quotient image dimension.  The one-ellipsoid case
-    (equal sequences up to scale) turns ``k = 0`` into the invariant-span
-    algebra: Everything for non-lacunary sequences, AlgebraAK for lacunary
-    ones.
-
-    ``k_max`` is the search budget for sampled models and must be
-    nonnegative on either branch; on the exact parametric branch the shift
-    gap is derived in closed form and the reported ``k`` may exceed it.
-    """
-    return _classify(a, b, k_max, strict=False)
-
-
-def classify_WCG(a: SequenceModel, b: SequenceModel, k_max: int = 16) -> ClassificationVerdict:
-    """Compact-operator variant: strict majorization replaces majorization."""
-    return _classify(a, b, k_max, strict=True)
-
-
-def _classify(a, b, k_max, strict) -> ClassificationVerdict:
-    found = shift_search(a, b, k_max, strict=strict)
-    exact = found.base.exact
-    if not found.base.holds:
-        return ClassificationVerdict(EMPTY, exact=exact)
-    if found.k is None:
-        note = "" if exact else f"every tested shift up to {found.exhausted_at} passed"
-        return ClassificationVerdict(EVERYTHING, exact=exact, note=note)
-    if found.k == 0 and found.same_shape:
-        return ClassificationVerdict(ALGEBRA_AK, exact=exact)
-    return ClassificationVerdict(KDIM, k=found.k, exact=exact)
-
-
-# ----------------------------------------------------------------------
-# Separating projections, operator ranges, weak fullness
+# Separating projections and operator ranges
 # ----------------------------------------------------------------------
 
 def find_separating_projection(t_list) -> np.ndarray:
@@ -401,23 +333,3 @@ def range_equiv(a1, a2) -> RangeEquivalence:
        psd_margin((cc * cc) * g1, g2, (cc * cc) * n1, n2) < -PSD_TOL:
         raise WidthlabError("internal: extreme scaling constants failed the PSD certificate")
     return RangeEquivalence(True, c, cc)
-
-
-def is_weakly_full(model: SequenceModel, closure_codim) -> WeakFullnessVerdict:
-    """Weak fullness of the algebra preserving an operator range.
-
-    ``closure_codim`` is the codimension of the range closure: any finite
-    value gives weak fullness outright; at infinite codimension the verdict
-    follows lacunarity of the width sequence (lacunary: weakly full,
-    non-lacunary: not).
-    """
-    lac = is_lacunary(model)
-    if isinstance(closure_codim, (int, np.integer)) and not isinstance(closure_codim, bool):
-        if closure_codim < 0:
-            raise InputError(f"codimension must be nonnegative, got {closure_codim}")
-        return WeakFullnessVerdict(True, CASE_FINITE_CODIM, lac)
-    if isinstance(closure_codim, float) and math.isinf(closure_codim) and closure_codim > 0:
-        if lac.lacunary:
-            return WeakFullnessVerdict(True, CASE_LACUNARY, lac)
-        return WeakFullnessVerdict(False, CASE_NON_LACUNARY, lac)
-    raise InputError(f"codimension must be a nonnegative integer or infinity, got {closure_codim!r}")

@@ -8,14 +8,20 @@ hypothesis raises a dedicated error instead of returning garbage.
 Each check of a value a caller passes in is written once here, next to the
 error it raises; the CLI passes its arguments straight to the library, so
 both accept the same values.  ``as_*`` returns the checked array, ``check_*``
-only raises.
+only raises.  numpy is imported by the array checks themselves, so a
+command that checks only scalars never loads it.
 """
 
-import math
+from __future__ import annotations
 
-import numpy as np
+import math
+import numbers
 
 ORTHO_TOL = 1e-9
+
+# Default PSD slack ``tol`` of the covering and expanding certificates:
+# a certificate holds iff its scaled margin is at least ``-tol``.
+PSD_TOL = 1e-9
 
 
 class WidthlabError(Exception):
@@ -55,6 +61,8 @@ class UnsolvableError(WidthlabError):
 
 def frozen(a) -> np.ndarray:
     """A read-only float copy of ``a``."""
+    import numpy as np
+
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
@@ -62,6 +70,8 @@ def frozen(a) -> np.ndarray:
 
 def as_operator(a, name: str = "matrix") -> np.ndarray:
     """A dense 2-d float array with positive dimensions and finite entries."""
+    import numpy as np
+
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise InputError(f"{name}: expected a 2-d array, got shape {arr.shape}")
@@ -88,6 +98,8 @@ def as_square(named) -> list[np.ndarray]:
 def as_columns(vectors, dim: int | None, name: str) -> np.ndarray:
     """Finite vectors of length ``dim`` as the columns of one array;
     ``dim=None`` takes the length of the first vector."""
+    import numpy as np
+
     arrs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not arrs:
         return np.zeros((dim or 0, 0))
@@ -103,6 +115,8 @@ def as_columns(vectors, dim: int | None, name: str) -> np.ndarray:
 def as_subspace(y, dim: int, name: str) -> np.ndarray:
     """Finite columns in dimension ``dim``, orthonormal up to ``ORTHO_TOL``;
     ``None`` is the zero subspace, a ``(dim, 0)`` array."""
+    import numpy as np
+
     q = np.zeros((dim, 0)) if y is None else np.asarray(y, dtype=float)
     if q.ndim != 2 or q.shape[0] != dim:
         raise InputError(f"{name}: expected shape ({dim}, m), got {q.shape}")
@@ -117,6 +131,8 @@ def as_subspace(y, dim: int, name: str) -> np.ndarray:
 def check_spectrum(values: np.ndarray, name: str) -> None:
     """``values`` must be finite, nonnegative and nonincreasing; NaN fails
     every comparison, so it is rejected too."""
+    import numpy as np
+
     if values.size and not (np.all(np.isfinite(values)) and np.all(values >= 0)
                             and np.all(np.diff(values) <= 0)):
         raise InputError(f"{name} must be finite, nonnegative and nonincreasing")
@@ -124,6 +140,8 @@ def check_spectrum(values: np.ndarray, name: str) -> None:
 
 def check_no_overflow(values, name: str) -> None:
     """``values``, computed from finite input, must have stayed finite."""
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise InputError(f"{name} overflow double precision; rescale the input")
 
@@ -142,5 +160,5 @@ def check_tolerance(tol) -> None:
 
 def check_seed(seed) -> None:
     """``seed`` must be a nonnegative integer, as ``numpy.random.default_rng`` takes."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")

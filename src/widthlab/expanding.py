@@ -4,19 +4,18 @@ Membership is a PSD test on ``T^T A^T A T - A^T A``, and transposition turns
 it into the covering test for the ellipsoid of ``A^T`` — an exactly
 checkable identity in the finite real model, used here as a cross-module
 consistency oracle.
+
+:func:`classify_WE` reads only the s-number model, so the dense modules and
+numpy load with the first certificate, not with this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._linalg import gram_top, psd_margin
-from .covering import ALGEBRA_AK, EVERYTHING, PSD_TOL, ClassificationVerdict, covers
-from .errors import as_square, check_tolerance
-from .seqlab import SequenceModel, is_lacunary
-from .spectra import ellipsoid
+from . import covering, spectra
+from .errors import PSD_TOL, as_square, check_tolerance
+from .seqlab import ALGEBRA_AK, EVERYTHING, ClassificationVerdict, SequenceModel, is_lacunary
 
 __all__ = ["ExpandVerdict", "is_expanding", "expanding_dual_check", "classify_WE"]
 
@@ -33,6 +32,10 @@ class ExpandVerdict:
 
 def is_expanding(t, a, tol: float = PSD_TOL) -> ExpandVerdict:
     """Does ``T`` expand the seminorm ``x -> ||A x||``?"""
+    import numpy as np
+
+    from ._linalg import gram_top, psd_margin
+
     t, a = as_square([("T", t), ("A", a)])
     check_tolerance(tol)
     with np.errstate(over="ignore", invalid="ignore"):  # gram_top reports it
@@ -48,9 +51,11 @@ def expanding_dual_check(t, a) -> bool:
     Both sides evaluate the same matrix inequality through different code
     paths, so outside the round-off band this always returns True.
     """
+    import numpy as np
+
     expands = is_expanding(t, a).expanding  # validates T and A
-    e = ellipsoid(np.transpose(a))
-    return expands == covers(np.transpose(t), e, e).holds
+    e = spectra.ellipsoid(np.transpose(a))
+    return expands == covering.covers(np.transpose(t), e, e).holds
 
 
 def classify_WE(model: SequenceModel, kernel_trivial: bool) -> ClassificationVerdict:

@@ -25,10 +25,9 @@ relation holds more than the identity.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InputError
 
@@ -67,7 +66,7 @@ class RigidCompactSpec:
                 f"need exactly n={self.n} alphas and betas, "
                 f"got {len(self.alphas)} and {len(self.betas)}"
             )
-        if any(not np.isfinite(a) or a <= 0 for a in self.alphas):
+        if any(not math.isfinite(a) or a <= 0 for a in self.alphas):
             raise InputError("alphas must be positive and finite")
         ratios = [self.alphas[k + 1] / self.alphas[k] for k in range(self.n - 1)]
         if any(r2 >= r1 for r1, r2 in zip(ratios, ratios[1:])):
@@ -106,6 +105,8 @@ class CoverSearchReport:
 
 def build_rigid_compact(spec: RigidCompactSpec) -> np.ndarray:
     """The 2n+1 points: origin, then alpha_k e_k, then alpha_k beta_k e_k."""
+    import numpy as np
+
     pts = np.zeros((2 * spec.n + 1, spec.n))
     for k in range(spec.n):
         pts[1 + k, k] = spec.alphas[k]
@@ -160,7 +161,7 @@ def rigid_cover_search(spec: RigidCompactSpec, norm_bound: float) -> CoverSearch
     unused source axis from the ratio-match relation, and a full pick is the
     monomial ``D e_m = c e_j``, whose norm is its largest ``c``.
     """
-    if not np.isfinite(norm_bound) or norm_bound < 1.0:
+    if not math.isfinite(norm_bound) or norm_bound < 1.0:
         raise InputError(f"norm bound must be at least 1, got {norm_bound}")
     if spec.n > MAX_TRUNCATION:
         raise InputError(

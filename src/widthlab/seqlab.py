@@ -10,15 +10,18 @@ classification) are undecidable from finite data, so every predicate has two
 branches: an exact branch driven by closed-form ratio analysis of the
 parametric families, and a windowed surrogate for ``Samples`` whose verdict
 carries ``exact=False`` together with the window and threshold used.
+
+The closure classifications that read only the width sequences (``WG``,
+``WCG`` and weak fullness) live here too.  The module imports no numpy;
+only a ``spectrum(file)`` model loads the matrix modules, and numpy with them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ClassificationError, InputError, check_positive
 
@@ -45,6 +48,15 @@ __all__ = [
     "DEFAULT_WINDOW",
     "RATIO_THRESHOLD",
     "MIN_TERM",
+    "EVERYTHING",
+    "ALGEBRA_AK",
+    "KDIM",
+    "EMPTY",
+    "ClassificationVerdict",
+    "WeakFullnessVerdict",
+    "classify_WG",
+    "classify_WCG",
+    "is_weakly_full",
 ]
 
 DEFAULT_WINDOW = 64          # terms examined by the windowed surrogates
@@ -178,7 +190,9 @@ class MajorizationVerdict:
 
     ``constant`` is the minimal C on the exact branch and the observed
     window maximum of ``b_n / a_n`` otherwise; ``window`` counts the terms
-    examined (None on the exact branch).
+    examined (None on the exact branch).  A minimal C below the double
+    range is rounded up to the smallest subnormal, ``math.ulp(0.0)``, so
+    ``b_n <= C a_n`` stays true; one above it reads as infinite.
     """
 
     holds: bool
@@ -294,8 +308,9 @@ class _RatioProfile:
 
 
 def _exp_clamped(x: float) -> float:
-    """``exp(x)``, read as infinite where it would overflow."""
-    return math.exp(x) if x < 700.0 else math.inf
+    """``exp(x)``, read as infinite where it would overflow and as the
+    smallest subnormal where it would underflow to 0, never below ``exp(x)``."""
+    return max(math.exp(x), math.ulp(0.0)) if x < 700.0 else math.inf
 
 
 def _profile(a: _Canon, b: _Canon) -> _RatioProfile:
@@ -381,11 +396,14 @@ def _window_length(*models: SequenceModel, window: int) -> int:
     return n
 
 
-def _window_ratios(a: SequenceModel, b: SequenceModel, window: int) -> np.ndarray:
+def _window_ratios(a: SequenceModel, b: SequenceModel, window: int) -> list[float]:
     n = _window_length(a, b, window=window)
-    av = np.array(sample(a, n))
-    bv = np.array(sample(b, n))
-    return bv / av
+    av, bv = sample(a, n), sample(b, n)
+    # a scale can push a term out of double range, and 0/0 or inf/inf is nan;
+    # the terms do not increase, so the first and the last bound them all
+    if not (av[-1] > 0.0 and av[0] < math.inf):
+        raise InputError(f"{a!r}: a term leaves the double range (0 or infinite terms refused)")
+    return [y / x for x, y in zip(av, bv)]
 
 
 def _is_parametric(c: _Canon) -> bool:
@@ -431,7 +449,7 @@ def majorizes(a: SequenceModel, b: SequenceModel,
         prof = _profile(ca, cb)
         return MajorizationVerdict(prof.bounded, prof.sup, None, True)
     ratios = _window_ratios(a, b, window)
-    return MajorizationVerdict(True, float(ratios.max()), int(ratios.size), False)
+    return MajorizationVerdict(True, float(max(ratios)), len(ratios), False)
 
 
 def strictly_majorizes(a: SequenceModel, b: SequenceModel,
@@ -449,9 +467,9 @@ def strictly_majorizes(a: SequenceModel, b: SequenceModel,
         prof = _profile(ca, cb)
         return MajorizationVerdict(prof.to_zero, prof.sup, None, True)
     ratios = _window_ratios(a, b, window)
-    tail = ratios[-max(1, ratios.size // 4):]
-    holds = bool(tail.max() <= tau * ratios.max())
-    return MajorizationVerdict(holds, float(ratios.max()), int(ratios.size), False)
+    top = max(ratios)
+    holds = bool(max(ratios[-max(1, len(ratios) // 4):]) <= tau * top)
+    return MajorizationVerdict(holds, float(top), len(ratios), False)
 
 
 def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = False,
@@ -502,6 +520,103 @@ def equivalent(a: SequenceModel, b: SequenceModel,
                window: int = DEFAULT_WINDOW) -> bool:
     """True iff each sequence majorizes the other."""
     return majorizes(a, b, window=window).holds and majorizes(b, a, window=window).holds
+
+
+# ----------------------------------------------------------------------
+# Closure classifications read off the width sequences
+# ----------------------------------------------------------------------
+
+EVERYTHING = "Everything"
+ALGEBRA_AK = "AlgebraAK"
+KDIM = "KDim"
+EMPTY = "Empty"
+_TAGS = frozenset({EVERYTHING, ALGEBRA_AK, KDIM, EMPTY})
+
+
+@dataclass(frozen=True)
+class ClassificationVerdict:
+    """Closure classification: everything, an invariant-subspace algebra,
+    a k-dimensional quotient condition, or empty."""
+
+    tag: str
+    k: int | None = None
+    exact: bool = True
+    note: str = ""
+
+    def __post_init__(self):
+        if self.tag not in _TAGS:
+            raise InputError(f"unknown classification tag {self.tag!r}")
+        if (self.tag == KDIM) != (self.k is not None):
+            raise InputError("k must be supplied exactly for KDim verdicts")
+
+
+CASE_FINITE_CODIM = "finite-codimension"
+CASE_NON_LACUNARY = "infinite-codimension-non-lacunary"
+CASE_LACUNARY = "infinite-codimension-lacunary"
+
+
+@dataclass(frozen=True)
+class WeakFullnessVerdict:
+    """Weak fullness of the algebra preserving an operator range."""
+
+    weakly_full: bool
+    case: str
+    lacunarity: LacunarityVerdict
+
+
+def classify_WG(a: SequenceModel, b: SequenceModel, k_max: int = 16) -> ClassificationVerdict:
+    """Classify the closure of ``{T : T K1 ⊇ K2}`` from the width sequences.
+
+    Empty when ``a`` fails to majorize ``b``; Everything when every left
+    shift of ``a`` still majorizes ``b``; otherwise the largest majorizing
+    shift ``k`` bounds the quotient image dimension.  The one-ellipsoid case
+    (equal sequences up to scale) turns ``k = 0`` into the invariant-span
+    algebra: Everything for non-lacunary sequences, AlgebraAK for lacunary
+    ones.
+
+    ``k_max`` is the search budget for sampled models and must be
+    nonnegative on either branch; on the exact parametric branch the shift
+    gap is derived in closed form and the reported ``k`` may exceed it.
+    """
+    return _classify(a, b, k_max, strict=False)
+
+
+def classify_WCG(a: SequenceModel, b: SequenceModel, k_max: int = 16) -> ClassificationVerdict:
+    """Compact-operator variant: strict majorization replaces majorization."""
+    return _classify(a, b, k_max, strict=True)
+
+
+def _classify(a, b, k_max, strict) -> ClassificationVerdict:
+    found = shift_search(a, b, k_max, strict=strict)
+    exact = found.base.exact
+    if not found.base.holds:
+        return ClassificationVerdict(EMPTY, exact=exact)
+    if found.k is None:
+        note = "" if exact else f"every tested shift up to {found.exhausted_at} passed"
+        return ClassificationVerdict(EVERYTHING, exact=exact, note=note)
+    if found.k == 0 and found.same_shape:
+        return ClassificationVerdict(ALGEBRA_AK, exact=exact)
+    return ClassificationVerdict(KDIM, k=found.k, exact=exact)
+
+
+def is_weakly_full(model: SequenceModel, closure_codim) -> WeakFullnessVerdict:
+    """Weak fullness of the algebra preserving an operator range.
+
+    ``closure_codim`` is the codimension of the range closure: any finite
+    value gives weak fullness outright; at infinite codimension the verdict
+    follows lacunarity of the width sequence (lacunary: weakly full,
+    non-lacunary: not).
+    """
+    lac = is_lacunary(model)
+    if isinstance(closure_codim, numbers.Integral) and not isinstance(closure_codim, bool):
+        if closure_codim < 0:
+            raise InputError(f"codimension must be nonnegative, got {closure_codim}")
+        return WeakFullnessVerdict(True, CASE_FINITE_CODIM, lac)
+    if isinstance(closure_codim, float) and math.isinf(closure_codim) and closure_codim > 0:
+        if lac.lacunary:
+            return WeakFullnessVerdict(True, CASE_LACUNARY, lac)
+        return WeakFullnessVerdict(False, CASE_NON_LACUNARY, lac)
+    raise InputError(f"codimension must be a nonnegative integer or infinity, got {closure_codim!r}")
 
 
 # ----------------------------------------------------------------------

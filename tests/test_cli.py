@@ -163,7 +163,7 @@ class TestVerdictCommands:
             reads.append(path)
             return read_matrix(path)
 
-        monkeypatch.setattr(widthlab.cli, "read_matrix", counting_read)
+        monkeypatch.setattr(widthlab.matrixio, "read_matrix", counting_read)
         code, _, _ = invoke(capsys, ["widths", workdir / "A.mat"])
         assert code == 0 and len(reads) == 1
 

@@ -155,6 +155,33 @@ class TestMajorization:
         v = majorizes(Scaled(1e-20, Scaled(1e-20, Power(2.0))), Shifted(3, Power(2.0)))
         assert v.constant == pytest.approx(1e40, rel=1e-12)
 
+    def test_constant_below_double_range_rounds_up(self):
+        # the minimal constant is 1e-600: it is reported as the smallest
+        # subnormal, never as 0, so b_n <= C a_n still holds
+        a, b = Power(1.0), Scaled(1e-300, Scaled(1e-300, Shifted(2, Power(1.0))))
+        v = majorizes(a, b)
+        assert v.holds and v.exact and v.constant == math.ulp(0.0) == 5e-324
+        v = strictly_majorizes(Power(1.0), Scaled(1e-300, Scaled(1e-300, Power(2.0))))
+        assert v.holds and v.constant == math.ulp(0.0)
+
+    def test_window_ratios_match_numpy(self):
+        # the windowed branch divides Python floats; numpy gives the same bits
+        a = Samples(tuple(0.9 ** n * (1 + 0.1 * math.sin(n)) ** -1 for n in range(40)))
+        b = Scaled(0.3, Power(1.5))
+        ratios = np.array(sample(b, 40)) / np.array(sample(a, 40))
+        v = majorizes(a, b)
+        assert type(v.constant) is float and v.constant == float(ratios.max())
+        s = strictly_majorizes(a, b, tau=0.5)
+        assert s.holds == bool(ratios[-10:].max() <= 0.5 * ratios.max()) and s.window == 40
+
+    def test_window_term_out_of_double_range_refused(self):
+        # 1e-300 * 1e-300 * q^n underflows to 0, and a ratio over it is no number
+        tiny = Scaled(1e-300, Scaled(1e-300, Geometric(0.5)))
+        with pytest.raises(InputError, match="leaves the double range"):
+            majorizes(tiny, Samples((1.0, 1.0)))
+        with pytest.raises(InputError, match="leaves the double range"):
+            strictly_majorizes(tiny, Samples((1.0, 1.0)))
+
     def test_constant_dominates_every_window_ratio(self):
         # validity sweep: the exact minimal C is an upper bound for the
         # observed ratio over a long window, and is approached within it
