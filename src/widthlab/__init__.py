@@ -38,8 +38,8 @@ _EXPORTS = {
     "expanding": ("ExpandVerdict", "classify_WE", "expanding_dual_check", "is_expanding"),
     "matrixio": ("format_matrix", "parse_matrix", "read_matrix", "write_matrix"),
     "rigid": (
-        "MAX_TRUNCATION", "CoverSearchReport", "EdgeGraphStats", "RigidCompactSpec",
-        "build_rigid_compact", "rigid_cover_search",
+        "CoverSearchReport", "EdgeGraphStats", "RigidCompactSpec", "build_rigid_compact",
+        "rigid_cover_search",
     ),
     "seqlab": (
         "DEFAULT_WINDOW", "MIN_TERM", "RATIO_THRESHOLD", "Geometric", "LacunarityVerdict",

@@ -1,5 +1,5 @@
-"""The SVD, the rank cutoff, the Gram-matrix norm, the PSD margin and the
-power-of-two rescale that every verdict rests on.
+"""The SVD, the rank cutoff, the Gram-matrix norm, the PSD margin, the
+Gram-Schmidt step and the power-of-two rescale that every verdict rests on.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -11,6 +11,7 @@ from .errors import check_no_overflow
 
 # Singular values below RANK_RCOND * s_1 count as zero for rank decisions.
 RANK_RCOND = 1e-12
+INDEPENDENCE_TOL = 1e-10  # v depends on an orthonormal set if its part off it is <= this * ||v||
 
 
 def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
@@ -73,6 +74,20 @@ def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND) -> int:
 def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     """Numerical rank of ``m`` under :func:`rank_from_values`."""
     return rank_from_values(svd(m, compute_uv=False), rcond)
+
+
+def extend_orthonormal(basis: list, v: np.ndarray) -> bool:
+    """Append to the orthonormal vectors ``basis`` the unit part of ``v``
+    orthogonal to them (one modified Gram-Schmidt step); return False, and
+    append nothing, when ``v`` depends on them under ``INDEPENDENCE_TOL``."""
+    w = np.array(v, dtype=float)
+    for q in basis:
+        w -= (q @ w) * q
+    nrm = np.linalg.norm(w)
+    if nrm <= INDEPENDENCE_TOL * np.linalg.norm(v):
+        return False
+    basis.append(w / nrm)
+    return True
 
 
 def gram_top(g: np.ndarray) -> float:

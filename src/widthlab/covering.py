@@ -17,32 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gram_top, pow2_scaled, psd_margin, rank, rank_from_values, svd
+from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, pow2_scaled, psd_margin, rank, rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
 from .seqlab import (  # the closure classifications live in seqlab; re-exported here
-    ALGEBRA_AK,
-    CASE_FINITE_CODIM,
-    CASE_LACUNARY,
-    CASE_NON_LACUNARY,
-    EMPTY,
-    EVERYTHING,
-    KDIM,
-    ClassificationVerdict,
-    SequenceModel,
-    WeakFullnessVerdict,
-    classify_WCG,
-    classify_WG,
-    is_lacunary,
-    is_weakly_full,
-    sample,
+    ALGEBRA_AK, CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, EMPTY, EVERYTHING, KDIM,
+    ClassificationVerdict, SequenceModel, WeakFullnessVerdict, classify_WCG, classify_WG,
+    is_lacunary, is_weakly_full, sample,
 )
-from .spectra import (
-    Ellipsoid,
-    ellipsoid,
-    nullspace_basis,
-    truncate_ellipsoid,
-)
+from .spectra import Ellipsoid, ellipsoid, nullspace_basis, truncate_ellipsoid
 
 __all__ = [
     "PSD_TOL",
@@ -266,7 +249,7 @@ def find_separating_projection(t_list) -> np.ndarray:
     combos = nullspace_basis(stacked.T)
     if combos.shape[1]:
         coeffs = combos[:, 0]
-        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(coeffs) if abs(c) > 1e-12)
+        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(coeffs) if abs(c) > RANK_RCOND)
         raise InputError(f"operators are linearly dependent: {terms} = 0")
 
     factors = [(u, rank_from_values(sv)) for u, sv, _ in map(svd, mats)]
@@ -274,13 +257,8 @@ def find_separating_projection(t_list) -> np.ndarray:
 
     q_cols: list[np.ndarray] = []
     for cand in pool:
-        v = cand.copy()
-        for q in q_cols:
-            v -= (q @ v) * q
-        nrm = np.linalg.norm(v)
-        if nrm <= 1e-10:
+        if not extend_orthonormal(q_cols, cand):
             continue
-        q_cols.append(v / nrm)
         q = np.column_stack(q_cols)
         p = q @ q.T
         proj = np.stack([(p @ t).reshape(-1) for t in mats])
@@ -300,8 +278,11 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     The certificates compare the Gram matrices ``A1 A1^T`` and ``A2 A2^T``
     directly, with the cached ``s_1`` of each generator as its norm.  At
     full rank both ranges are the whole space; below it the ranges agree
-    when ``||P1 - P2||``, the largest ``|eigenvalue|`` of the difference of
-    the two range projectors, stays within ``RANGE_TOL``."""
+    when ``||P1 - P2||`` of the two range projectors stays within
+    ``RANGE_TOL``.  Between ranges of one dimension that norm is
+    ``||(I - P1) P2||``, the sine of the largest principal angle (Golub &
+    Van Loan, Matrix Computations, 2.5.3): the top singular value of the
+    ``d x r`` matrix ``q2 - q1 (q1^T q2)``."""
     a1 = as_operator(a1, "first generator")
     a2 = as_operator(a2, "second generator")
     if a1.shape[0] != a2.shape[0]:
@@ -315,8 +296,7 @@ def range_equiv(a1, a2) -> RangeEquivalence:
         return RangeEquivalence(True, 1.0, 1.0)
     if e1.rank < e1.ambient_dim:
         q1, q2 = e1.span_basis, e2.span_basis
-        lam = np.linalg.eigvalsh(q1 @ q1.T - q2 @ q2.T)
-        if max(-lam[0], lam[-1]) > RANGE_TOL:
+        if svd(q2 - q1 @ (q1.T @ q2), compute_uv=False)[0] > RANGE_TOL:
             return RangeEquivalence(False)
     # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
     # eigenvalues of the two forms are the squared singular values of

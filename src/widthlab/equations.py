@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._linalg import pow2_scaled, rank, rank_from_values, svd
+from ._linalg import extend_orthonormal, gram_top, pow2_scaled, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
 from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, check_seed, frozen
 from .seqlab import MajorizationVerdict, SequenceModel, majorizes
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
+_WELL_POSED_RCOND = 1e-8  # constraints with s_min <= this * (1 + s_max) are nudged
+_DIRECTION_FLOOR = 1e-8   # least norm a nudge direction keeps off the span
 
 
 def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
@@ -170,7 +172,7 @@ def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray,
         v = rng.normal(size=d)
         v -= q @ (q.T @ v)
         norm = np.linalg.norm(v)
-        if norm > 1e-8:
+        if norm > _DIRECTION_FLOOR:
             v /= norm
             if float(align_to @ v) < 0:
                 v = -v
@@ -211,7 +213,7 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
 
     def well_posed(mat: np.ndarray) -> bool:
         sv = svd(mat, compute_uv=False)
-        return sv[-1] > 1e-8 * (1.0 + sv[0])
+        return sv[-1] > _WELL_POSED_RCOND * (1.0 + sv[0])
 
     rng = np.random.default_rng(seed)
     z, w = xt.copy(), yt.copy()
@@ -232,34 +234,31 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
     if f_dom.shape != (d, d) or f_img.shape != (d, d):
         raise InfeasibleError("perturbed constraint systems are still degenerate")
     v = f_img @ np.linalg.inv(f_dom)
-    v_inv = np.linalg.inv(v)
+    v_inv = f_dom @ np.linalg.inv(f_img)
     rx = tuple(float(np.linalg.norm(v @ x[:, i] - xt[:, i])) for i in range(n))
     ry = tuple(float(np.linalg.norm(v_inv @ yv[:, j] - yt[:, j])) for j in range(m))
     worst = max(rx + ry)
     if worst >= eps:
         raise InfeasibleError(f"constraint residual {worst:g} not below eps={eps:g}", worst)
-    condition = float(np.linalg.norm(v, 2) * np.linalg.norm(v_inv, 2))
-    return MatchCertificate(v, condition, rx, ry)
+    sv = svd(v, compute_uv=False)
+    return MatchCertificate(v, float(sv[0] / sv[-1]), rx, ry)
 
 
 def _independent_subset(vectors: np.ndarray) -> tuple[list[int], float]:
     """Greedy maximal independent column subset and the worst l1 coefficient
     norm needed to express the remaining columns through it."""
-    d, t = vectors.shape
     chosen: list[int] = []
-    basis = np.zeros((d, 0))
+    basis: list[np.ndarray] = []
     gamma = 1.0
-    for i in range(t):
-        v = vectors[:, i]
+    for i, v in enumerate(vectors.T):
         if np.linalg.norm(v) == 0:
             raise InputError(f"test vector {i} is zero")
-        resid = v - basis @ (basis.T @ v) if basis.shape[1] else v
-        if np.linalg.norm(resid) > 1e-10 * np.linalg.norm(v):
+        if extend_orthonormal(basis, v):
             chosen.append(i)
-            q = resid / np.linalg.norm(resid)
-            basis = np.hstack([basis, q[:, None]])
         else:
-            coeff = np.linalg.lstsq(vectors[:, chosen], v, rcond=None)[0]
+            # chosen = Q R for the basis Q, so the coefficients solve R c = Q^T v
+            rows = np.array(basis)
+            coeff = np.linalg.solve(rows @ vectors[:, chosen], rows @ v)
             gamma = max(gamma, float(np.abs(coeff).sum()))
     return chosen, gamma
 
@@ -282,22 +281,24 @@ def approx_factorization(b, x0, y0, test_vectors, eps: float,
     check_positive(eps, "eps")
 
     pair = factor_pair(b)
-    x, y = np.asarray(pair.X), np.asarray(pair.Y)
-    u1 = np.vstack([np.eye(d), np.zeros((d, d))])
-    x_pinv = np.linalg.pinv(x)
+    x, u1 = np.asarray(pair.X), np.asarray(pair.Y)  # factor_pair's Y is U1
+    # X = [B | I], so X X^T = B B^T + I, whose eigenvalues are all >= 1:
+    # ||X||^2 is its top eigenvalue and X^+ = X^T (X X^T)^{-1}
+    with np.errstate(over="ignore", invalid="ignore"):  # gram_top reports it
+        xxt = b @ b.T + np.eye(d)
+    norm_x = gram_top(xxt) ** 0.5
 
     chosen, gamma = _independent_subset(vmat)
     sel = vmat[:, chosen]
-    xs = [y @ sel[:, i] for i in range(sel.shape[1])]
-    xs_t = [u1 @ (y0 @ sel[:, i]) for i in range(sel.shape[1])]
-    ys = [u1 @ sel[:, i] for i in range(sel.shape[1])]
-    ys_t = [x_pinv @ (x0 @ sel[:, i]) for i in range(sel.shape[1])]
+    cols = list((u1 @ sel).T)
+    xs_t = list((u1 @ (y0 @ sel)).T)
+    ys_t = list((x.T @ np.linalg.solve(xxt, x0 @ sel)).T)
 
-    delta = eps / (2.0 * gamma * (1.0 + np.linalg.norm(x, 2)))
-    match = match_invertible(xs, xs_t, ys, ys_t, delta, seed=seed)
+    delta = eps / (2.0 * gamma * (1.0 + norm_x))
+    match = match_invertible(cols, xs_t, cols, ys_t, delta, seed=seed)
     v = np.asarray(match.operator)
     v_inv = np.linalg.inv(v)
-    xn, yn = x @ v_inv, v @ y
+    xn, yn = x @ v_inv, v @ u1
 
     y_res = np.linalg.norm(yn @ vmat - u1 @ (y0 @ vmat), axis=0)
     x_res = np.linalg.norm(xn @ (u1 @ vmat) - x0 @ vmat, axis=0)

@@ -24,24 +24,20 @@ relation holds more than the identity.
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
 
 __all__ = [
-    "MAX_TRUNCATION",
     "RigidCompactSpec",
     "EdgeGraphStats",
     "CoverSearchReport",
     "build_rigid_compact",
     "rigid_cover_search",
 ]
-
-# Axis bijections grow factorially; refuse beyond this size.
-MAX_TRUNCATION = 7
 
 _RATIO_TOL = 1e-12
 # A cover's norm may exceed the bound by this relative round-off.
@@ -122,10 +118,17 @@ def _relation(spec: RigidCompactSpec) -> list[list[tuple[int, bool, float]]]:
     """For each target axis ``j``, every ``(m, swapped, c)`` with
     ``D e_m = c e_j`` mapping both points of source axis ``m`` onto the two
     of axis ``j``: straight or swapped.  ``(j, False, 1.0)`` is the identity
-    and always present."""
+    and always present.  Only the axes that bisection finds in the sorted
+    betas near ``beta_j`` and ``1 / beta_j`` are compared."""
     a, b = spec.alphas, spec.betas
+    order = sorted(range(spec.n), key=b.__getitem__)
+    keys = [b[m] for m in order]
+
+    def near(x: float) -> list[int]:  # a superset of the betas within _RATIO_TOL of x
+        return order[bisect_left(keys, x * (1 - 4 * _RATIO_TOL)):bisect_right(keys, x * (1 + 4 * _RATIO_TOL))]
+
     return [[(m, swapped, a[j] / (a[m] * b[m] if swapped else a[m]))
-             for m in range(spec.n) for swapped in (False, True)
+             for m in sorted({*near(b[j]), *near(1.0 / b[j])}) for swapped in (False, True)
              if (_close(b[m] * b[j], 1.0) if swapped else _close(b[m], b[j]))]
             for j in range(spec.n)]
 
@@ -149,7 +152,8 @@ def _norm_threshold(spec: RigidCompactSpec) -> float:
     if spec.n < 2:
         return 1.0
     alpha_part = max(spec.alphas[k] / spec.alphas[k + 1] for k in range(spec.n - 1))
-    gap = min(abs(b1 - b2) for b1, b2 in itertools.combinations(spec.betas, 2))
+    betas = sorted(spec.betas)
+    gap = min(b2 - b1 for b1, b2 in zip(betas, betas[1:]))
     return alpha_part * gap
 
 
@@ -163,21 +167,17 @@ def rigid_cover_search(spec: RigidCompactSpec, norm_bound: float) -> CoverSearch
     """
     if not math.isfinite(norm_bound) or norm_bound < 1.0:
         raise InputError(f"norm bound must be at least 1, got {norm_bound}")
-    if spec.n > MAX_TRUNCATION:
-        raise InputError(
-            f"combinatorial budget exceeded: truncation {spec.n} above the hard cap "
-            f"n <= {MAX_TRUNCATION}"
-        )
     relation = _relation(spec)
     cap = norm_bound * (1.0 + _NORM_SLACK)
     choices = [[m for m, _, c in row if c <= cap] for row in relation]
 
-    def count(j: int, used: int) -> int:
+    admissible, stack = 0, [(0, 0)]  # (next target axis, bitmask of used source axes)
+    while stack:
+        j, used = stack.pop()
         if j == spec.n:
-            return 1
-        return sum(count(j + 1, used | 1 << m) for m in choices[j] if not used >> m & 1)
-
-    admissible = count(0, 0)
+            admissible += 1
+        else:
+            stack.extend((j + 1, used | 1 << m) for m in choices[j] if not used >> m & 1)
     return CoverSearchReport(
         identity_only=admissible == 1,
         admissible_maps=admissible,

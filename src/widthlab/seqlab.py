@@ -283,9 +283,14 @@ def _canon(model: SequenceModel) -> _Canon:
     if isinstance(model, Scaled):
         c = _canon(model.inner)
         if c.kind == _SAMPLES:
-            return _Canon(_SAMPLES, 0.0, None, 0, tuple(model.c * v for v in c.values))
+            values = tuple(model.c * v for v in c.values)
+            _check_double_range(values, model)
+            return _Canon(_SAMPLES, 0.0, None, 0, values)
         return _Canon(c.kind, c.log_scale + math.log(model.c), c.param, c.offset)
     raise InputError(f"unknown sequence model {model!r}")
+
+
+_SHAPE_RTOL = 1e-12  # relative tolerance of each term in _same_shape
 
 
 def _same_shape(a: _Canon, b: _Canon) -> bool:
@@ -296,7 +301,7 @@ def _same_shape(a: _Canon, b: _Canon) -> bool:
         if len(a.values) != len(b.values):
             return False
         r = b.values[0] / a.values[0]
-        return all(abs(y - r * x) <= 1e-12 * r * x for x, y in zip(a.values, b.values))
+        return all(abs(y - r * x) <= _SHAPE_RTOL * r * x for x, y in zip(a.values, b.values))
     return a.param == b.param and a.offset == b.offset
 
 
@@ -399,11 +404,15 @@ def _window_length(*models: SequenceModel, window: int) -> int:
 def _window_ratios(a: SequenceModel, b: SequenceModel, window: int) -> list[float]:
     n = _window_length(a, b, window=window)
     av, bv = sample(a, n), sample(b, n)
-    # a scale can push a term out of double range, and 0/0 or inf/inf is nan;
-    # the terms do not increase, so the first and the last bound them all
-    if not (av[-1] > 0.0 and av[0] < math.inf):
-        raise InputError(f"{a!r}: a term leaves the double range (0 or infinite terms refused)")
+    _check_double_range(av, a)
     return [y / x for x, y in zip(av, bv)]
+
+
+def _check_double_range(values, model: SequenceModel) -> None:
+    """Refuse terms out of (0, inf), where ratios turn nan; nonincreasing
+    terms are bounded by the first and the last."""
+    if not (values[-1] > 0.0 and values[0] < math.inf):
+        raise InputError(f"{model!r}: a term leaves the double range (0 or infinite terms refused)")
 
 
 def _is_parametric(c: _Canon) -> bool:

@@ -35,6 +35,9 @@ __all__ = [
     "ellipsoid_membership",
 ]
 
+MEMBERSHIP_TOL = 1e-9  # default slack of ellipsoid_membership
+
+
 def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns.
 
@@ -216,7 +219,7 @@ def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
     )
 
 
-def ellipsoid_membership(e: Ellipsoid, y, tol: float = 1e-9) -> bool:
+def ellipsoid_membership(e: Ellipsoid, y, tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff ``y`` lies in the ellipsoid (within ``tol``).
 
     Checks that ``y`` sits in the column space of the generator and that the

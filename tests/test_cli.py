@@ -308,6 +308,18 @@ class TestErrorPaths:
         code, out, err = invoke(capsys, [workdir / a[1:] if a.startswith("@") else a for a in argv])
         assert code == 1 and out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("model", ["scale(1e-300, samples(1e-300, 1e-300))",
+                                       "scale(1e300, samples(1e300, 1e10))",
+                                       "scale(1e-300, samples(1e-20, 1e-300))"])
+    @pytest.mark.parametrize("command", [["classify-seq", "--model"],
+                                         ["classify-wg", "--a", "samples(1, 1)", "--b"]])
+    def test_scaled_samples_out_of_double_range_is_input_error(self, model, command, capsys):
+        # these exited 2 (float division by zero) or printed a nan or 0 ratio
+        code, out, err = invoke(capsys, command + [model])
+        assert code == 1 and out == ""
+        assert err == (f"error: {widthlab.parse_model(model)!r}: a term leaves the double "
+                       f"range (0 or infinite terms refused)\n")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("argv, message", [

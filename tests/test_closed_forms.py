@@ -17,7 +17,7 @@ betas_in_range = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 def rigid_inputs(draw):
     """Alphas from a start and sorted ratios, betas anywhere in (1/2, 1);
     the validator, not the strategy, decides which specs are accepted."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 12))
     ratios = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1, unique=True))
     alphas = [draw(st.floats(1e-3, 1e3))]
     for r in sorted(ratios, reverse=True):

@@ -18,7 +18,8 @@ SRC = str(Path(widthlab.__file__).resolve().parent.parent)
 
 LAYERS = ("matrixio", "spectra", "seqlab", "covering", "equations", "expanding", "rigid", "_linalg")
 
-# Every name the package bound when it imported its modules eagerly.
+# Every name the package bound when it imported its modules eagerly, less
+# the deleted rigid size cap MAX_TRUNCATION.
 EAGER_NAMES = {
     "covering", "equations", "errors", "expanding", "matrixio", "rigid", "seqlab", "spectra",
     "ALGEBRA_AK", "EMPTY", "EVERYTHING", "KDIM", "MARGIN_BAND", "PSD_TOL",
@@ -31,8 +32,8 @@ EAGER_NAMES = {
     "WidthlabError",
     "ExpandVerdict", "classify_WE", "expanding_dual_check", "is_expanding",
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
-    "MAX_TRUNCATION", "CoverSearchReport", "EdgeGraphStats", "RigidCompactSpec",
-    "build_rigid_compact", "rigid_cover_search",
+    "CoverSearchReport", "EdgeGraphStats", "RigidCompactSpec", "build_rigid_compact",
+    "rigid_cover_search",
     "DEFAULT_WINDOW", "MIN_TERM", "RATIO_THRESHOLD", "Geometric", "LacunarityVerdict",
     "MajorizationVerdict", "Power", "Samples", "Scaled", "SequenceModel", "ShiftClassification",
     "Shifted", "SuperGeometric", "equivalent", "is_lacunary", "majorizes", "max_majorizing_shift",

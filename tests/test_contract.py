@@ -115,18 +115,81 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+# numpy.linalg routines that run an SVD or an eigensolver; a matrix norm with
+# ord 2, -2 or 'nuc' takes the singular values too
+DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "pinv", "lstsq", "matrix_rank", "cond"}
+SPECTRAL_ORDS = {2, -2, "nuc"}
+
+
+def is_linalg(node, names) -> bool:
+    """``node`` is ``<...>.linalg.<name>`` for one of ``names``."""
+    return isinstance(node, ast.Attribute) and node.attr in names and \
+        isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+
+
+def spectral_ord(node) -> bool:
+    try:
+        return ast.literal_eval(node) in SPECTRAL_ORDS
+    except ValueError:
+        return True  # an ord the scan cannot read counts as spectral
+
+
+def decomposition_calls(source: str) -> list:
+    """Lines of ``source`` that use an SVD- or eigen-based numpy.linalg
+    routine or import one (or ``norm``) from numpy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [f"{node.lineno}: from numpy.linalg import {alias.name}"
+                      for alias in node.names if alias.name in DECOMPOSITIONS | {"norm"}]
+        elif is_linalg(node, DECOMPOSITIONS):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and is_linalg(node.func, {"norm"}) and any(
+                map(spectral_ord, node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"])):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
 def test_only_linalg_calls_numpy_svd():
-    # every decomposition goes through _linalg.svd, which is exact on
+    # every decomposition goes through _linalg, whose SVD is exact on
     # monomial matrices and refuses overflow
-    offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "_linalg.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "svd" and \
-                    isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
-                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-                offenders += [f"{path.name}:{node.lineno}: from numpy.linalg import {alias.name}"
-                              for alias in node.names if alias.name == "svd"]
+    offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "_linalg.py" for line in decomposition_calls(path.read_text())]
     assert offenders == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("np.linalg.svd(a)", 1), ("np.linalg.eigvalsh(g)", 1), ("np.linalg.eig(g)", 1),
+    ("np.linalg.pinv(x)", 1), ("np.linalg.lstsq(a, b)", 1), ("np.linalg.matrix_rank(a)", 1),
+    ("np.linalg.cond(a)", 1), ("np.linalg.norm(v, 2)", 1), ("np.linalg.norm(v, ord=-2)", 1),
+    ("np.linalg.norm(v, 'nuc')", 1), ("np.linalg.norm(v, ord=k)", 1),
+    ("from numpy.linalg import eigh, solve", 1),
+    ("np.linalg.norm(v)", 0), ("np.linalg.norm(v, axis=0)", 0), ("np.linalg.norm(v, 'fro')", 0),
+    ("np.linalg.solve(a, b)", 0), ("np.linalg.inv(a)", 0), ("np.linalg.qr(a)", 0),
+])
+def test_decomposition_scan_flags_exactly_the_banned_calls(source, hits):
+    assert len(decomposition_calls(source)) == hits
+
+
+def small_float_literals(source: str) -> list:
+    """Float literals of magnitude in (0, 1e-3) that are not the value of a
+    module-level UPPER_CASE constant, as ``line: value``."""
+    tree = ast.parse(source)
+    named = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+             and all(isinstance(t, ast.Name) and t.id.lstrip("_").isupper() for t in node.targets)}
+    return [f"{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3 and id(node) not in named]
+
+
+def test_every_small_tolerance_is_a_named_constant():
+    offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line in small_float_literals(path.read_text())]
+    assert offenders == []
+
+
+def test_literal_scan_allows_only_module_level_constants():
+    assert small_float_literals("TOL = 1e-9\n_RCOND = 1e-12\nBIG = 0.5\n") == []
+    assert small_float_literals("x = 1e-9\n") == ["1: 1e-09"]
+    assert small_float_literals("def f(tol=1e-9):\n    TOL = 1e-8\n") == ["1: 1e-09", "2: 1e-08"]
+    assert small_float_literals("y = z > 0.0 and z < 1e-300\n") == ["1: 1e-300"]

@@ -455,7 +455,34 @@ class TestSeparatingProjection:
         assert peak < 2 * 2**20
 
 
+def rotated_range_pair(d: int, angle: float, seed: int):
+    """Two rank-r generators in dimension d whose ranges meet at the
+    largest principal angle ``angle``, with orthonormal bases of the two
+    ranges."""
+    rng = np.random.default_rng([d, seed])
+    r = max(1, d // 2)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    rot = np.eye(d)
+    c, s = math.cos(angle), math.sin(angle)
+    rot[[r - 1, r - 1, r, r], [r - 1, r, r - 1, r]] = [c, -s, s, c]
+    a = np.zeros((d, r))
+    a[:r] = rng.normal(size=(r, r)) + 3 * np.eye(r)
+    return q @ a, q @ rot @ a @ rng.normal(size=(r, r)), q[:, :r], (q @ rot)[:, :r]
+
+
 class TestRangeEquivalence:
+    @pytest.mark.parametrize("d", [3, 8, 40])
+    @pytest.mark.parametrize("angle, same", [(0.0, True), (1e-10, True), (5e-10, True),
+                                             (2e-9, False), (1e-6, False), (1e-2, False)])
+    def test_small_angle_grid(self, d, angle, same):
+        # ||P1 - P2|| is the sine of the largest principal angle, so the
+        # ranges count as one up to RANGE_TOL = 1e-9
+        for seed in range(3):
+            a1, a2, q1, q2 = rotated_range_pair(d, angle, seed)
+            gap = np.linalg.norm(q1 @ q1.T - q2 @ q2.T, 2)
+            assert gap == pytest.approx(math.sin(angle), rel=1e-3, abs=1e-14)
+            assert range_equiv(a1, a2).same_range is same
+
     def test_pure_scaling(self):
         eq = range_equiv(np.diag([1.0, 0.5]), 3 * np.diag([1.0, 0.5]))
         assert eq.same_range
@@ -505,7 +532,8 @@ class TestRangeEquivalence:
         rng = np.random.default_rng(6)
         a = rng.normal(size=(40, 30))
         assert range_equiv(a, a @ rng.normal(size=(30, 30))).same_range
-        assert linalg_calls == {"svd": 3, "eigvalsh": 3}
+        # the projector test is one SVD of the d x r matrix q2 - q1 (q1^T q2)
+        assert linalg_calls == {"svd": 4, "eigvalsh": 2}
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")

@@ -13,6 +13,7 @@ from widthlab import (
     solve_xay,
     xay_solvable,
 )
+from widthlab.equations import _independent_subset
 
 
 def random_with_rank(rng, d, r):
@@ -171,6 +172,26 @@ class TestMatchInvertible:
             match_invertible([e[:, 0]], [e[:, 0]],
                              [e[:, 0], e[:, 1]], [e[:, 0], e[:, 1]], eps=1e-3)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("nudged", [False, True])
+    def test_condition_is_the_singular_value_ratio(self, seed, nudged):
+        # condition = s_max(V) / s_min(V) from numpy's own SVD, and the
+        # residuals through V^-1 = F_dom F_img^-1 stay below eps
+        rng = np.random.default_rng(seed)
+        d = 9
+        xs, ys = list(rng.normal(size=(3, d))), list(rng.normal(size=(2, d)))
+        xst, yst = list(rng.normal(size=(3, d))), list(rng.normal(size=(2, d)))
+        if nudged:  # an x target inside span(xs, y targets) forces the nudge
+            xst[0] = xs[1] + yst[0]
+        cert = match_invertible(xs, xst, ys, yst, eps=1e-6, seed=seed)
+        v = np.asarray(cert.operator)
+        sv = np.linalg.svd(v, compute_uv=False)
+        assert cert.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        v_inv = np.linalg.inv(v)
+        for y, target, reported in zip(ys, yst, cert.y_residuals):
+            assert reported < 1e-6
+            assert reported == pytest.approx(np.linalg.norm(v_inv @ y - target), rel=1e-6, abs=1e-12)
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         e = np.eye(4)
@@ -230,6 +251,51 @@ class TestApproxFactorization:
         pair = approx_factorization(b, rng.normal(size=(d, d)), rng.normal(size=(d, d)),
                                     vs, eps=1e-3)
         assert pair.residual <= 1e-9
+
+    @pytest.mark.parametrize("d, rank", [(1, 1), (4, 4), (12, 12), (12, 5), (12, 0)])
+    def test_pseudo_inverse_closed_form(self, d, rank):
+        # X = [B | I] from factor_pair, so X^+ = X^T (B B^T + I)^-1 and
+        # ||X||^2 = 1 + s_1(B)^2; numpy's pinv and 2-norm are the oracles
+        rng = np.random.default_rng(d + rank)
+        b = random_with_rank(rng, d, rank)
+        x = np.asarray(factor_pair(b).X)
+        g = b @ b.T + np.eye(d)
+        y = rng.normal(size=(d, 3))
+        np.testing.assert_allclose(x.T @ np.linalg.solve(g, y), np.linalg.pinv(x) @ y,
+                                   rtol=1e-10, atol=1e-12)
+        assert np.linalg.eigvalsh(g)[-1] == pytest.approx(np.linalg.norm(x, 2) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("k, feasible", [(-1000, True), (-700, True), (0, True), (100, False)])
+    def test_outcome_across_scales_of_b(self, k, feasible):
+        # as at the parent: success for k <= 0, and ||B|| near 2^100 leaves no
+        # room for eps (the residual is ||XY - B|| / (1 + ||B||), absolute for tiny B)
+        rng = np.random.default_rng(0)
+        d = 6
+        b, x0, y0 = (rng.normal(size=(d, d)) for _ in range(3))
+        vs = list(rng.normal(size=(3, d)))
+        b = np.ldexp(b, k)
+        if not feasible:
+            with pytest.raises(InfeasibleError):
+                approx_factorization(b, x0, y0, vs, eps=0.1)
+            return
+        pair = approx_factorization(b, x0, y0, vs, eps=0.1)
+        x, y = np.asarray(pair.X), np.asarray(pair.Y)
+        u1 = np.vstack([np.eye(d), np.zeros((d, d))])
+        assert np.linalg.norm(x @ y - b) <= 1e-9 * (1 + np.linalg.norm(b))
+        for v in vs:
+            assert np.linalg.norm(y @ v - u1 @ (y0 @ v)) < 0.1
+            assert np.linalg.norm(x @ (u1 @ v) - x0 @ v) < 0.1
+
+    def test_dependent_vector_coefficients_match_least_squares(self):
+        # the coefficients come from the Gram-Schmidt basis, not lstsq
+        rng = np.random.default_rng(10)
+        v1, v2, v3 = rng.normal(size=(3, 7))
+        vmat = np.column_stack([v1, v2, 2 * v1 - 3 * v2, v3, -v1 + 0.5 * v2 + 4 * v3])
+        chosen, gamma = _independent_subset(vmat)
+        assert chosen == [0, 1, 3]
+        coeffs = np.linalg.lstsq(vmat[:, chosen], vmat[:, [2, 4]], rcond=None)[0]
+        assert gamma == pytest.approx(np.abs(coeffs).sum(axis=0).max(), rel=1e-12)
+        assert gamma == pytest.approx(5.5, rel=1e-12)
 
     def test_zero_test_vector_rejected(self):
         with pytest.raises(InputError, match="zero"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,12 +91,25 @@ class TestSearch:
         gap = 0.05
         assert rep.max_norm_bound == pytest.approx(alpha_part * gap)
 
-    def test_budget_cap(self):
+    def test_eight_axes_certify_identity_only(self):
+        # the size the deleted cap used to refuse
         alphas = tuple(10.0 ** (-(k * (k - 1)) / 2) for k in range(1, 9))
         betas = tuple(0.51 + 0.05 * k for k in range(8))
-        spec = RigidCompactSpec(n=8, alphas=alphas, betas=betas)
-        with pytest.raises(InputError, match="n <= 7"):
-            rigid_cover_search(spec, norm_bound=10.0)
+        rep = rigid_cover_search(RigidCompactSpec(n=8, alphas=alphas, betas=betas), norm_bound=10.0)
+        assert rep.identity_only and rep.admissible_maps == 1
+        assert (rep.edge_graph_stats.out_degree_min, rep.edge_graph_stats.in_degree_max) == (2, 1)
+        assert rep.max_norm_bound == pytest.approx(1e7 * 0.05)
+
+    def test_a_thousand_axes_certify_identity_only(self):
+        # the axis count runs without recursion, so no recursion limit binds
+        n = 1000
+        alphas = tuple(math.exp(-k * k / (4 * n)) for k in range(n))
+        betas = tuple(0.51 + 0.48 * k / n for k in range(n))
+        rep = rigid_cover_search(RigidCompactSpec(n=n, alphas=alphas, betas=betas), norm_bound=1e6)
+        assert rep.identity_only and rep.admissible_maps == 1
+        assert (rep.edge_graph_stats.out_degree_min, rep.edge_graph_stats.in_degree_max) == (2, 1)
+        ratio = max(alphas[k] / alphas[k + 1] for k in range(n - 1))
+        assert rep.max_norm_bound == pytest.approx(ratio * 0.48 / n, rel=1e-9)
 
     def test_norm_bound_floor(self):
         with pytest.raises(InputError, match="at least 1"):

@@ -182,6 +182,27 @@ class TestMajorization:
         with pytest.raises(InputError, match="leaves the double range"):
             strictly_majorizes(tiny, Samples((1.0, 1.0)))
 
+    @pytest.mark.parametrize("model", [
+        Scaled(1e-300, Samples((1e-300, 1e-300))),  # every term is 0
+        Scaled(1e300, Samples((1e300, 1e10))),      # every term is inf
+        Scaled(1e-300, Samples((1e-20, 1e-300))),   # the last term is 0
+    ])
+    def test_scaled_samples_out_of_double_range_refused(self, model):
+        # 0/0 raised ZeroDivisionError, inf/inf read as a nan ratio and x/0
+        # as a 0 ratio; one refusal now covers every predicate on both sides
+        one = Samples((1.0, 1.0))
+        for check in (lambda: is_lacunary(model), lambda: majorizes(one, model),
+                      lambda: majorizes(model, one), lambda: equivalent(model, model),
+                      lambda: max_majorizing_shift(one, model, 2),
+                      lambda: is_lacunary(Shifted(1, Scaled(1.0, model)))):
+            with pytest.raises(InputError, match=r"leaves the double range \(0 or infinite"):
+                check()
+
+    def test_scaled_samples_inside_double_range_kept(self):
+        # subnormal but positive terms stay valid, at subnormal precision
+        v = is_lacunary(Scaled(1e-300, Samples((1e-10, 1e-20))))
+        assert v.lacunary and not v.exact and v.witness_ratio == pytest.approx(1e-10, rel=1e-3)
+
     def test_constant_dominates_every_window_ratio(self):
         # validity sweep: the exact minimal C is an upper bound for the
         # observed ratio over a long window, and is approached within it
