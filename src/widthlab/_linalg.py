@@ -52,15 +52,12 @@ def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
     return u, sv, vh
 
 
-def pow2_scaled(a: np.ndarray, grow: bool = True) -> tuple[np.ndarray, int]:
+def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(a * 2**-e, e)`` for the binary exponent ``e`` of ``max|a|``, so the
     largest scaled entry lies in [1/2, 1).  ``np.ldexp`` only shifts
     exponents: the scaling is exact unless small entries underflow, and
-    ``e`` may be any exponent a double has, subnormal ones included.  With
-    ``grow=False`` ``e`` is floored at 0, so ``a`` is never scaled up."""
+    ``e`` may be any exponent a double has, subnormal ones included."""
     e = int(np.frexp(np.max(np.abs(a)))[1])
-    if not grow:
-        e = max(e, 0)
     return np.ldexp(a, -e), e
 
 

@@ -110,9 +110,9 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
         )
     with np.errstate(over="ignore", invalid="ignore"):  # gram_top and psd_margin report it
         ta = t @ e1.generator
-        g1, g2 = ta @ ta.T, e2.generator @ e2.generator.T
+        g1 = ta @ ta.T
     top2 = e2.spectrum.s(1)
-    margin = psd_margin(g1, g2, gram_top(g1), top2 * top2)
+    margin = psd_margin(g1, e2.gram, gram_top(g1), top2 * top2)
     if margin < -tol:
         return CoverCertificate(False, margin)
     # a power of two scales T exactly, so T T^T cannot overflow where T can
@@ -289,24 +289,26 @@ def range_equiv(a1, a2) -> RangeEquivalence:
         raise InputError(
             f"generators must share the ambient dimension, got {a1.shape[0]} and {a2.shape[0]}"
         )
-    e1, e2 = ellipsoid(a1), ellipsoid(a2)
-    if e1.rank != e2.rank:
+    # U1 and s1 from one factored SVD of a1; a2 gives its basis only when read
+    u1, s1, _ = svd(a1)
+    r, e2 = rank_from_values(s1), ellipsoid(a2)
+    if r != e2.rank:
         return RangeEquivalence(False)
-    if e1.rank == 0:
+    if r == 0:
         return RangeEquivalence(True, 1.0, 1.0)
-    if e1.rank < e1.ambient_dim:
-        q1, q2 = e1.span_basis, e2.span_basis
+    q1 = u1[:, :r]
+    if r < a1.shape[0]:
+        q2 = e2.span_basis
         if svd(q2 - q1 @ (q1.T @ q2), compute_uv=False)[0] > RANGE_TOL:
             return RangeEquivalence(False)
     # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
     # eigenvalues of the two forms are the squared singular values of
     # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
-    s1 = e1.spectrum.values[: e1.rank]
-    sv = svd((e1.span_basis.T @ a2) / s1[:, None], compute_uv=False)
+    sv = svd((q1.T @ a2) / s1[:r, None], compute_uv=False)
     c, cc = float(sv[-1]), float(sv[0])
     with np.errstate(over="ignore", invalid="ignore"):  # psd_margin reports it
-        g1, g2 = a1 @ a1.T, a2 @ a2.T
-    top1, top2 = e1.spectrum.s(1), e2.spectrum.s(1)
+        g1, g2 = a1 @ a1.T, e2.gram
+    top1, top2 = float(s1[0]), e2.spectrum.s(1)
     n1, n2 = top1 * top1, top2 * top2
     # c K1 ⊆ K2 reads c² G1 ≼ G2, and K2 ⊆ C K1 reads G2 ≼ C² G1
     if psd_margin(g2, (c * c) * g1, n2, (c * c) * n1) < -PSD_TOL or \

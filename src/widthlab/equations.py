@@ -39,18 +39,22 @@ _DIRECTION_FLOOR = 1e-8   # least norm a nudge direction keeps off the span
 
 
 def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
-    """``||F_1 ... F_k - B||_F / (1 + ||B||_F)`` for the factors ``F_i``.
+    """``||F_1 ... F_k - B||_F / ||B||_F`` for the factors ``F_i``, with
+    ``||B||_F`` floored at the smallest normal double (below it ``B`` keeps
+    only an absolute precision); for ``B = 0`` the absolute ``||F_1 ... F_k||_F``.
 
-    ``B`` and ``F_1`` are first scaled by the power of two that brings the
-    entries of ``B`` below 1, which leaves the ratio as it is (up to
-    underflow), so a finite ``B`` whose norm overflows still gets its true
-    ratio.  A product that overflows anyway is refused.
+    Both norms are taken of exact power-of-two scalings, so neither
+    overflows nor underflows; a large ``B`` also scales ``F_1`` before the
+    product.  A product that overflows anyway is refused.
     """
-    sb, e = pow2_scaled(b, grow=False)
+    sb, e = pow2_scaled(b)
+    shrink = max(e, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        product = reduce(np.matmul, factors[1:], np.ldexp(factors[0], -e))
+        product = reduce(np.matmul, factors[1:], np.ldexp(factors[0], -shrink))
         check_no_overflow(product, "factor products")
-        return float(np.linalg.norm(product - sb) / (np.ldexp(1.0, -e) + np.linalg.norm(sb)))
+    sd, ed = pow2_scaled(product - np.ldexp(b, -shrink))
+    floor = np.ldexp(np.finfo(float).tiny, -e) if b.any() else 1.0
+    return float(np.ldexp(np.linalg.norm(sd) / max(np.linalg.norm(sb), floor), ed + shrink - e))
 
 
 @dataclass(frozen=True)

@@ -98,29 +98,66 @@ class WidthSequence:
         return float(self.values[n]) if n < len(self) else 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ellipsoid:
     """The set ``A(B)``: image of the unit ball under ``generator``.
 
-    ``span_basis`` holds orthonormal columns spanning the column space of the
-    generator (the closed linear span of the ellipsoid); ``right_basis``
-    holds the matching right singular vectors, so
-    ``generator ~= span_basis @ diag(s_1..s_r) @ right_basis.T``.
+    s-numbers at construction, bases on first read: ``span_basis`` holds
+    orthonormal columns spanning the column space of the generator (the
+    closed linear span of the ellipsoid) and ``right_basis`` the matching
+    right singular vectors, so
+    ``generator ~= span_basis @ diag(s_1..s_r) @ right_basis.T``.  Both come
+    from one factored SVD, cached as one pair; ``gram`` caches
+    ``generator @ generator.T``.  Each cache is stored once, by
+    ``dict.setdefault``, so concurrent first reads see the same arrays.
     """
 
     generator: np.ndarray
     spectrum: SingularSpectrum
-    span_basis: np.ndarray
-    right_basis: np.ndarray
     rcond: float = RANK_RCOND
 
-    def __post_init__(self):
-        object.__setattr__(self, "generator", frozen(self.generator))
-        span = as_subspace(self.span_basis, self.generator.shape[0], "span_basis")
-        object.__setattr__(self, "span_basis", frozen(span))
-        object.__setattr__(self, "right_basis", frozen(self.right_basis))
-        if self.span_basis.shape[1] != self.spectrum.rank:
-            raise InputError("span dimension must equal the spectrum rank")
+    def __init__(self, generator, spectrum: SingularSpectrum, span_basis=None,
+                 right_basis=None, rcond: float = RANK_RCOND):
+        object.__setattr__(self, "generator", frozen(generator))
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "rcond", rcond)
+        if span_basis is not None or right_basis is not None:
+            self.__dict__["_uv"] = self._checked_bases(span_basis, right_basis)
+
+    def _checked_bases(self, span, right) -> tuple[np.ndarray, np.ndarray]:
+        span = frozen(as_subspace(span, self.generator.shape[0], "span_basis"))
+        right = frozen(right)
+        if span.shape[1] != self.spectrum.rank or right.shape != (self.generator.shape[1], span.shape[1]):
+            raise InputError("span_basis and right_basis must have the spectrum rank as their column count")
+        return span, right
+
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        pair = self.__dict__.get("_uv")
+        if pair is None:
+            u, _, vh = svd(self.generator)
+            pair = self._checked_bases(u[:, : self.rank], vh[: self.rank].T)
+            pair = self.__dict__.setdefault("_uv", pair)
+        return pair
+
+    @property
+    def span_basis(self) -> np.ndarray:
+        return self._bases()[0]
+
+    @property
+    def right_basis(self) -> np.ndarray:
+        return self._bases()[1]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """``generator @ generator.T``; entries that overflow are left for
+        the certificate that reads them to report."""
+        g = self.__dict__.get("_gram")
+        if g is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = self.generator @ self.generator.T
+            g.setflags(write=False)
+            g = self.__dict__.setdefault("_gram", g)
+        return g
 
     @property
     def ambient_dim(self) -> int:
@@ -142,17 +179,11 @@ def singular_spectrum(a, rcond: float = RANK_RCOND) -> SingularSpectrum:
 
 
 def ellipsoid(a, rcond: float = RANK_RCOND) -> Ellipsoid:
-    """Build the ellipsoid ``a(B)`` with its SVD data cached."""
+    """Build the ellipsoid ``a(B)``: its s-numbers from one values-only SVD
+    now, its bases from one factored SVD on first read."""
     arr = as_operator(a, "generator")
-    u, sv, vh = svd(arr)
-    rank = rank_from_values(sv, rcond)
-    return Ellipsoid(
-        generator=arr,
-        spectrum=SingularSpectrum(values=sv, rank=rank),
-        span_basis=u[:, :rank],
-        right_basis=vh[:rank].T,
-        rcond=rcond,
-    )
+    sv = svd(arr, compute_uv=False)
+    return Ellipsoid(arr, SingularSpectrum(values=sv, rank=rank_from_values(sv, rcond)), rcond=rcond)
 
 
 def kolmogorov_widths(e: Ellipsoid) -> WidthSequence:

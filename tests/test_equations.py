@@ -13,7 +13,7 @@ from widthlab import (
     solve_xay,
     xay_solvable,
 )
-from widthlab.equations import _independent_subset
+from widthlab.equations import _independent_subset, _relative_residual
 
 
 def random_with_rank(rng, d, r):
@@ -77,6 +77,31 @@ class TestSolveXAY:
     def test_zero_b(self):
         pair = solve_xay(np.eye(3), np.zeros((3, 3)))
         assert pair.residual == 0.0
+
+    @pytest.mark.parametrize("k", [-1060, -1000, 0, 1000])
+    def test_residual_stays_relative_at_every_scale_of_b(self, k):
+        # below the normal range the norm of B is floored at the smallest
+        # normal double, so a subnormal B is still solved within tolerance
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(5, 5)), np.ldexp(rng.normal(size=(5, 5)), k)
+        pair = solve_xay(a, b)
+        assert pair.residual <= 1e-12
+
+
+class TestRelativeResidual:
+    def test_power_of_two_scalings_leave_it_unchanged(self):
+        rng = np.random.default_rng(13)
+        b = rng.normal(size=(4, 4))
+        x, y = b + 1e-6 * rng.normal(size=(4, 4)), np.eye(4)
+        ref = _relative_residual(b, x, y)
+        assert ref == pytest.approx(np.linalg.norm(x - b) / np.linalg.norm(b), rel=1e-12)
+        for k in (-1000, -500, 500, 1000):
+            assert _relative_residual(np.ldexp(b, k), np.ldexp(x, k), y) == ref
+
+    def test_zero_b_gives_the_absolute_norm_of_the_product(self):
+        x = np.full((3, 3), 1e-200)
+        got = _relative_residual(np.zeros((3, 3)), x, np.eye(3))
+        assert got == pytest.approx(3e-200, rel=1e-15)
 
 
 class TestFirstComponent:
@@ -265,10 +290,11 @@ class TestApproxFactorization:
                                    rtol=1e-10, atol=1e-12)
         assert np.linalg.eigvalsh(g)[-1] == pytest.approx(np.linalg.norm(x, 2) ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("k, feasible", [(-1000, True), (-700, True), (0, True), (100, False)])
+    @pytest.mark.parametrize("k, feasible", [(-1000, False), (-700, False), (0, True), (100, False)])
     def test_outcome_across_scales_of_b(self, k, feasible):
-        # as at the parent: success for k <= 0, and ||B|| near 2^100 leaves no
-        # room for eps (the residual is ||XY - B|| / (1 + ||B||), absolute for tiny B)
+        # the residual ||XY - B|| / ||B|| is relative at every scale: a tiny B
+        # drowns in the round-off of the identity half of X = [B | I], and
+        # ||B|| near 2^100 leaves no room for eps
         rng = np.random.default_rng(0)
         d = 6
         b, x0, y0 = (rng.normal(size=(d, d)) for _ in range(3))
@@ -281,7 +307,7 @@ class TestApproxFactorization:
         pair = approx_factorization(b, x0, y0, vs, eps=0.1)
         x, y = np.asarray(pair.X), np.asarray(pair.Y)
         u1 = np.vstack([np.eye(d), np.zeros((d, d))])
-        assert np.linalg.norm(x @ y - b) <= 1e-9 * (1 + np.linalg.norm(b))
+        assert np.linalg.norm(x @ y - b) <= 1e-9 * np.linalg.norm(b)
         for v in vs:
             assert np.linalg.norm(y @ v - u1 @ (y0 @ v)) < 0.1
             assert np.linalg.norm(x @ (u1 @ v) - x0 @ v) < 0.1

@@ -79,7 +79,13 @@ class TestIsExpanding:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(30, 30))
         is_expanding(rng.normal(size=(30, 30)), a)
-        assert linalg_calls == {"svd": 0, "eigvalsh": 3}
+        assert linalg_calls == {"svd": 0, "svd_uv": 0, "eigvalsh": 3}
+
+    def test_dual_check_makes_no_factored_svd(self, linalg_calls):
+        rng = np.random.default_rng(9)
+        assert expanding_dual_check(2 * np.eye(30), rng.normal(size=(30, 30)))
+        # the ellipsoid of A^T needs s_1 only: one values-only SVD
+        assert linalg_calls == {"svd": 1, "svd_uv": 0, "eigvalsh": 6}
 
     def test_margin_agrees_with_the_svd_formula(self):
         # the scale 1 + max(||A T||², ||A||²) taken from SVDs, independently

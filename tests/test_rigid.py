@@ -117,7 +117,7 @@ class TestSearch:
 
     def test_search_makes_no_decomposition(self, linalg_calls):
         rigid_cover_search(tower_spec(7), norm_bound=10.0)
-        assert linalg_calls == {"svd": 0, "eigvalsh": 0}
+        assert linalg_calls == {"svd": 0, "svd_uv": 0, "eigvalsh": 0}
 
     def test_degree_invariants_across_specs(self):
         for spec in (tower_spec(2),

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,56 @@ class TestSections:
         e = ellipsoid(np.diag([2.0, 1.0]))
         with pytest.raises(InputError, match="span_basis: entries must be finite"):
             Ellipsoid(e.generator, e.spectrum, np.full((2, 2), np.nan), e.right_basis)
+
+    def test_ellipsoid_rejects_bases_that_do_not_match_the_rank(self):
+        e = ellipsoid(np.diag([2.0, 1.0]))
+        with pytest.raises(InputError, match="spectrum rank"):
+            Ellipsoid(e.generator, e.spectrum, e.span_basis)
+        with pytest.raises(InputError, match="spectrum rank"):
+            Ellipsoid(e.generator, e.spectrum, e.span_basis[:, :1], e.right_basis[:, :1])
+
+
+class TestLazyBases:
+    """s-numbers at construction from one values-only SVD; both bases on
+    first read from one factored SVD, cached as one pair."""
+
+    def test_bases_cost_one_factored_svd_across_reads(self, linalg_calls):
+        e = ellipsoid(np.random.default_rng(31).normal(size=(30, 20)))
+        assert linalg_calls == {"svd": 1, "svd_uv": 0, "eigvalsh": 0}
+        span, right = e.span_basis, e.right_basis
+        for _ in range(3):
+            assert e.right_basis is right and e.span_basis is span
+        assert linalg_calls == {"svd": 1, "svd_uv": 1, "eigvalsh": 0}
+
+    def test_widths_make_no_factored_svd(self, linalg_calls):
+        kolmogorov_widths(ellipsoid(np.random.default_rng(32).normal(size=(30, 30))))
+        assert linalg_calls == {"svd": 1, "svd_uv": 0, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 25), (25, 40)])
+    def test_lazy_bases_reconstruct_the_generator(self, shape):
+        (m, n), k = shape, min(shape) - 1  # one rank short
+        rng = np.random.default_rng(list(shape))
+        a = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+        e = ellipsoid(a)
+        assert e.rank == min(shape) - 1
+        sv = e.spectrum.values[: e.rank]
+        assert np.abs((e.span_basis * sv) @ e.right_basis.T - a).max() <= 1e-12 * sv[0]
+
+    def test_caches_are_read_only_and_gram_is_the_product(self):
+        a = np.random.default_rng(33).normal(size=(6, 4))
+        e = ellipsoid(a)
+        np.testing.assert_array_equal(e.gram, a @ a.T)
+        assert e.gram is e.gram
+        for cached in (e.gram, e.span_basis, e.right_basis):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+
+    def test_concurrent_first_reads_see_one_pair(self):
+        e = ellipsoid(np.random.default_rng(34).normal(size=(60, 60)))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pairs = list(pool.map(lambda _: (e.span_basis, e.right_basis), range(8)))
+        assert all(s is pairs[0][0] and r is pairs[0][1] for s, r in pairs)
+        assert e.span_basis is pairs[0][0]
 
 
 class TestTruncation:
