@@ -19,8 +19,7 @@ from . import errors
 
 __version__ = "0.1.0"
 
-# module -> the public names served from it; a name re-exported by a dense
-# module is served from its numpy-free home
+# module -> the public names served from it, each from its one home module
 _EXPORTS = {
     "covering": (
         "MARGIN_BAND", "CoverCertificate", "DichotomyReport", "RangeEquivalence", "covers",
@@ -35,7 +34,7 @@ _EXPORTS = {
         "PSD_TOL", "ClassificationError", "InfeasibleError", "InputError", "NotCoverableError",
         "UnsolvableError", "WidthlabError",
     ),
-    "expanding": ("ExpandVerdict", "classify_WE", "expanding_dual_check", "is_expanding"),
+    "expanding": ("ExpandVerdict", "expanding_dual_check", "is_expanding"),
     "matrixio": ("format_matrix", "parse_matrix", "read_matrix", "write_matrix"),
     "rigid": (
         "CoverSearchReport", "EdgeGraphStats", "RigidCompactSpec", "build_rigid_compact",
@@ -47,7 +46,7 @@ _EXPORTS = {
         "ShiftClassification", "Shifted", "SuperGeometric", "equivalent", "is_lacunary",
         "majorizes", "max_majorizing_shift", "parse_model", "sample", "strictly_majorizes",
         "ALGEBRA_AK", "EMPTY", "EVERYTHING", "KDIM", "ClassificationVerdict",
-        "WeakFullnessVerdict", "classify_WCG", "classify_WG", "is_weakly_full",
+        "WeakFullnessVerdict", "classify_WCG", "classify_WE", "classify_WG", "is_weakly_full",
     ),
     "spectra": (
         "RANK_RCOND", "Ellipsoid", "SingularSpectrum", "WidthSequence", "ellipsoid",

@@ -378,7 +378,7 @@ def _expanding(args) -> None:
 
 
 def _classify_we(args) -> None:
-    verdict = expanding.classify_WE(seqlab.parse_model(args.model), kernel_trivial=args.kernel_trivial)
+    verdict = seqlab.classify_WE(seqlab.parse_model(args.model), kernel_trivial=args.kernel_trivial)
     _emit(args, verdict, [_tag_line(verdict)] + ([verdict.note] if verdict.note else []))
 
 

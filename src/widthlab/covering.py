@@ -7,7 +7,7 @@ other).  Everything else here is built on that certificate: minimal-norm
 Schmidt covers, interpolation-constrained covers, the dimension-tower
 dichotomy experiment and operator-range equivalence.  The classifications
 of covering closures and weak fullness read only the width sequences; they
-live in :mod:`seqlab` and are re-exported here.
+live in :mod:`seqlab`.
 """
 
 from __future__ import annotations
@@ -20,34 +20,21 @@ import numpy as np
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, pow2_scaled, psd_margin, rank, rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
-from .seqlab import (  # the closure classifications live in seqlab; re-exported here
-    ALGEBRA_AK, CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, EMPTY, EVERYTHING, KDIM,
-    ClassificationVerdict, SequenceModel, WeakFullnessVerdict, classify_WCG, classify_WG,
-    is_lacunary, is_weakly_full, sample,
-)
+from .seqlab import SequenceModel, is_lacunary, sample
 from .spectra import Ellipsoid, ellipsoid, nullspace_basis, truncate_ellipsoid
 
 __all__ = [
     "PSD_TOL",
     "MARGIN_BAND",
-    "EVERYTHING",
-    "ALGEBRA_AK",
-    "KDIM",
-    "EMPTY",
     "CoverCertificate",
-    "ClassificationVerdict",
     "DichotomyReport",
     "RangeEquivalence",
-    "WeakFullnessVerdict",
     "covers",
     "schmidt_cover",
     "prescribed_cover",
     "wot_density_experiment",
-    "classify_WG",
-    "classify_WCG",
     "find_separating_projection",
     "range_equiv",
-    "is_weakly_full",
 ]
 
 # |scaled margin| below this is decided by round-off, not mathematics;

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
-_WELL_POSED_RCOND = 1e-8  # constraints with s_min <= this * (1 + s_max) are nudged
+_WELL_POSED_RCOND = 1e-8  # constraints with s_min <= this * s_max are nudged
 _DIRECTION_FLOOR = 1e-8   # least norm a nudge direction keeps off the span
 
 
@@ -217,7 +217,7 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
 
     def well_posed(mat: np.ndarray) -> bool:
         sv = svd(mat, compute_uv=False)
-        return sv[-1] > _WELL_POSED_RCOND * (1.0 + sv[0])
+        return sv[-1] > _WELL_POSED_RCOND * sv[0]
 
     rng = np.random.default_rng(seed)
     z, w = xt.copy(), yt.copy()

@@ -12,7 +12,8 @@ parametric families, and a windowed surrogate for ``Samples`` whose verdict
 carries ``exact=False`` together with the window and threshold used.
 
 The closure classifications that read only the width sequences (``WG``,
-``WCG`` and weak fullness) live here too.  The module imports no numpy;
+``WCG``, weak fullness and ``WE``, the closure of the expanding set) live
+here too.  The module imports no numpy;
 only a ``spectrum(file)`` model loads the matrix modules, and numpy with them.
 """
 
@@ -57,6 +58,7 @@ __all__ = [
     "classify_WG",
     "classify_WCG",
     "is_weakly_full",
+    "classify_WE",
 ]
 
 DEFAULT_WINDOW = 64          # terms examined by the windowed surrogates
@@ -115,8 +117,7 @@ class Power(SequenceModel):
     p: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise InputError(f"power exponent must be positive, got {self.p}")
+        check_positive(self.p, "power exponent")
 
     def term(self, i: int) -> float:
         return _checked_term((i + 1.0) ** (-self.p), self, i)
@@ -127,8 +128,8 @@ class SuperGeometric(SequenceModel):
     b: float
 
     def __post_init__(self):
-        if not self.b > 1.0:
-            raise InputError(f"super-geometric base must exceed 1, got {self.b}")
+        if not 1.0 < self.b < math.inf:
+            raise InputError(f"super-geometric base must lie in (1, inf), got {self.b}")
 
     def term(self, i: int) -> float:
         return _checked_term(self.b ** float(-(i * i)), self, i)
@@ -140,7 +141,7 @@ class Shifted(SequenceModel):
     inner: SequenceModel
 
     def __post_init__(self):
-        if self.k < 0 or self.k != int(self.k):
+        if not 0 <= self.k < math.inf or self.k != int(self.k):
             raise InputError(f"shift must be a nonnegative integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
 
@@ -250,8 +251,7 @@ class _Canon:
     values: tuple | None = None
 
     def log_term(self, n: int) -> float:
-        if self.kind == _SAMPLES:
-            return math.log(self.values[n])
+        """Log of term ``n`` of a parametric canon."""
         base = self.log_scale
         m = n + self.offset
         if self.kind == _GEOM:
@@ -405,6 +405,7 @@ def _window_ratios(a: SequenceModel, b: SequenceModel, window: int) -> list[floa
     n = _window_length(a, b, window=window)
     av, bv = sample(a, n), sample(b, n)
     _check_double_range(av, a)
+    _check_double_range(bv, b)
     return [y / x for x, y in zip(av, bv)]
 
 
@@ -628,6 +629,26 @@ def is_weakly_full(model: SequenceModel, closure_codim) -> WeakFullnessVerdict:
     raise InputError(f"codimension must be a nonnegative integer or infinity, got {closure_codim!r}")
 
 
+def classify_WE(model: SequenceModel, kernel_trivial: bool) -> ClassificationVerdict:
+    """Closure of the expanding set, from the s-number model of ``A``.
+
+    Non-lacunary s-numbers give everything; lacunary ones give the algebra
+    of operators that leave ``ker A`` invariant, which collapses back to
+    everything when the kernel is trivial.
+    """
+    lac = is_lacunary(model)
+    if not lac.lacunary:
+        return ClassificationVerdict(EVERYTHING, exact=lac.exact)
+    if kernel_trivial:
+        return ClassificationVerdict(
+            EVERYTHING, exact=lac.exact,
+            note="lacunary, but a trivial kernel collapses the invariance condition",
+        )
+    return ClassificationVerdict(
+        ALGEBRA_AK, exact=lac.exact, note="operators preserving ker A"
+    )
+
+
 # ----------------------------------------------------------------------
 # Model grammar
 # ----------------------------------------------------------------------
@@ -699,7 +720,7 @@ class _Parser:
             m = SuperGeometric(self.number())
         elif kind == "shift":
             k = self.number()
-            if k != int(k):
+            if not k.is_integer():
                 self.error("shift count must be an integer")
             self.expect(",")
             m = Shifted(int(k), self.model())

@@ -98,11 +98,12 @@ class WidthSequence:
         return float(self.values[n]) if n < len(self) else 0.0
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """The set ``A(B)``: image of the unit ball under ``generator``.
 
-    s-numbers at construction, bases on first read: ``span_basis`` holds
+    Built from the generator and its s-numbers alone; everything else is
+    derived from the generator on first read.  ``span_basis`` holds
     orthonormal columns spanning the column space of the generator (the
     closed linear span of the ellipsoid) and ``right_basis`` the matching
     right singular vectors, so
@@ -116,26 +117,14 @@ class Ellipsoid:
     spectrum: SingularSpectrum
     rcond: float = RANK_RCOND
 
-    def __init__(self, generator, spectrum: SingularSpectrum, span_basis=None,
-                 right_basis=None, rcond: float = RANK_RCOND):
-        object.__setattr__(self, "generator", frozen(generator))
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "rcond", rcond)
-        if span_basis is not None or right_basis is not None:
-            self.__dict__["_uv"] = self._checked_bases(span_basis, right_basis)
-
-    def _checked_bases(self, span, right) -> tuple[np.ndarray, np.ndarray]:
-        span = frozen(as_subspace(span, self.generator.shape[0], "span_basis"))
-        right = frozen(right)
-        if span.shape[1] != self.spectrum.rank or right.shape != (self.generator.shape[1], span.shape[1]):
-            raise InputError("span_basis and right_basis must have the spectrum rank as their column count")
-        return span, right
+    def __post_init__(self):
+        object.__setattr__(self, "generator", frozen(self.generator))
 
     def _bases(self) -> tuple[np.ndarray, np.ndarray]:
         pair = self.__dict__.get("_uv")
         if pair is None:
             u, _, vh = svd(self.generator)
-            pair = self._checked_bases(u[:, : self.rank], vh[: self.rank].T)
+            pair = frozen(u[:, : self.rank]), frozen(vh[: self.rank].T)
             pair = self.__dict__.setdefault("_uv", pair)
         return pair
 
@@ -222,32 +211,23 @@ def truncate_ellipsoid(e: Ellipsoid, r: int) -> Ellipsoid:
 
     Built directly from the cached SVD so the spectrum equals the first
     ``r`` values exactly (a fresh decomposition of the reconstruction would
-    contaminate the cut directions with round-off rank).
+    contaminate the cut directions with round-off rank); the parent's
+    leading singular pairs are the truncation's bases, so reading them
+    makes no SVD.
     """
     if not 1 <= r <= e.rank:
         raise InputError(f"truncation rank {r} outside [1, {e.rank}]")
-    u = e.span_basis[:, :r]
+    u, right = e.span_basis[:, :r], e.right_basis[:, :r]
     sv = e.spectrum.values[:r]
-    vt = e.right_basis[:, :r].T
-    return Ellipsoid(
-        generator=u @ (sv[:, None] * vt),
-        spectrum=SingularSpectrum(values=sv, rank=r),
-        span_basis=u,
-        right_basis=e.right_basis[:, :r],
-        rcond=e.rcond,
-    )
+    t = Ellipsoid(u @ (sv[:, None] * right.T), SingularSpectrum(values=sv, rank=r), e.rcond)
+    t.__dict__["_uv"] = (frozen(u), frozen(right))
+    return t
 
 
 def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
     """The ellipsoid ``c * K``, generated by ``c`` times the generator."""
     check_positive(c, "scale")
-    return Ellipsoid(
-        generator=c * e.generator,
-        spectrum=SingularSpectrum(values=c * e.spectrum.values, rank=e.rank),
-        span_basis=e.span_basis,
-        right_basis=e.right_basis,
-        rcond=e.rcond,
-    )
+    return Ellipsoid(c * e.generator, SingularSpectrum(values=c * e.spectrum.values, rank=e.rank), e.rcond)
 
 
 def ellipsoid_membership(e: Ellipsoid, y, tol: float = MEMBERSHIP_TOL) -> bool:

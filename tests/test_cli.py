@@ -320,6 +320,14 @@ class TestErrorPaths:
         assert err == (f"error: {widthlab.parse_model(model)!r}: a term leaves the double "
                        f"range (0 or infinite terms refused)\n")
 
+    @pytest.mark.parametrize("a, b", [("samples(1,0.5,0.25)", "scale(1e300, scale(1e300, geom(0.5)))"),
+                                      ("scale(1e300, scale(1e300, geom(0.5)))", "samples(1,0.5,0.25)")])
+    def test_window_term_out_of_double_range_is_input_error(self, a, b, capsys):
+        # with the overflowing model as b this printed Everything and exited 0
+        code, out, err = invoke(capsys, ["classify-wg", "--a", a, "--b", b])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "a term leaves the double range" in err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("argv, message", [

@@ -134,8 +134,6 @@ def test_all_keeps_every_eagerly_bound_name():
     exec("from widthlab import *", namespace)
     assert EAGER_NAMES <= set(namespace)
     assert namespace["covers"] is widthlab.covering.covers
-    # moved to seqlab, still served from covering and the package
-    assert widthlab.covering.classify_WG is widthlab.seqlab.classify_WG is widthlab.classify_WG
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -46,7 +46,8 @@ def command_table(d: Path) -> dict:
     (the first candidate is valid)."""
     mat = [str(d / f"{n}.mat") for n in ("A", "T", "Z", "R", "Y", "X1", "X2")]
     spec = [str(d / "good.json"), str(d / "short.json")]
-    model = ["geom(0.5)", "samples(1,1e-5,1e-6)", "supergeom(2)", "pow(1)", "samples(1,0.5)"]
+    model = ["geom(0.5)", "samples(1,1e-5,1e-6)", "supergeom(2)", "pow(1)", "samples(1,0.5)",
+             "shift(1e400, geom(0.5))", "pow(1e400)", "supergeom(1e400)"]
     wg = {"--a": model, "--b": model, "--k-max": None}
     return {
         "widths": ([mat], {}),
@@ -113,6 +114,39 @@ def test_no_module_imports_private_names_of_another():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+# the names a layer's __all__ may take from another module: defaults of the
+# layer's own signatures
+FOREIGN_DEFAULTS = {("covering.py", "PSD_TOL"), ("spectra.py", "RANK_RCOND")}
+
+
+def foreign_exports(source: str) -> list:
+    """Names in the module's ``__all__`` that it does not define at top level
+    (by ``def``, ``class`` or assignment)."""
+    exported, defined = [], set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+def test_every_public_name_has_one_home_module():
+    offenders = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "__init__.py" for name in foreign_exports(path.read_text())
+                 if (path.name, name) not in FOREIGN_DEFAULTS]
+    assert offenders == []
+
+
+def test_export_scan_flags_exactly_the_imported_names():
+    source = ("from .x import A, f\nB, C = 1, 2\ndef g(): pass\nclass K: pass\n"
+              "__all__ = ['A', 'B', 'C', 'f', 'g', 'K']\n")
+    assert foreign_exports(source) == ["A", "f"]
 
 
 # numpy.linalg routines that run an SVD or an eigensolver; a matrix norm with

@@ -35,7 +35,8 @@ from widthlab import (
     truncate_ellipsoid,
     wot_density_experiment,
 )
-from widthlab.covering import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, MARGIN_BAND, PSD_TOL
+from widthlab.covering import MARGIN_BAND, PSD_TOL
+from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY
 
 
 def random_contraction(rng, rows, cols):

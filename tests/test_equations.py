@@ -217,6 +217,24 @@ class TestMatchInvertible:
             assert reported < 1e-6
             assert reported == pytest.approx(np.linalg.norm(v_inv @ y - target), rel=1e-6, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [-60, -30, 30])
+    @pytest.mark.parametrize("nudged", [False, True])
+    def test_nudge_does_not_depend_on_scale(self, k, nudged):
+        # scaling every vector and eps by 2^k poses the same problem; an
+        # absolute floor in the well-posedness test nudged it at 2^-30
+        rng = np.random.default_rng(5)
+        xs, ys, xst, yst = (rng.normal(size=(n, 9)) for n in (3, 2, 3, 2))
+        if nudged:  # an x target in span(ys) makes V's image dependent
+            xst[0] = ys[0] + ys[1]
+
+        def worst(s):
+            cert = match_invertible(s * xs, s * xst, s * ys, s * yst, eps=s * 1e-6, seed=5)
+            return max(cert.x_residuals + cert.y_residuals) / (s * 1e-6)
+
+        at_one, scaled = worst(1.0), worst(2.0 ** k)
+        assert (at_one > 0.1) == (scaled > 0.1) == nudged
+        assert scaled == pytest.approx(at_one, rel=1e-6, abs=1e-6)
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         e = np.eye(4)

@@ -68,6 +68,15 @@ class TestSampling:
         with pytest.raises(InputError):
             Shifted(-1, Geometric(0.5))
 
+    @pytest.mark.parametrize("build", [Power, SuperGeometric, lambda k: Shifted(k, Geometric(0.5))],
+                             ids=["pow", "supergeom", "shift"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameters_refused(self, build, value):
+        # Shifted(inf) raised OverflowError and Shifted(nan) ValueError;
+        # Power(inf) and SuperGeometric(inf) were accepted
+        with pytest.raises(InputError):
+            build(value)
+
 
 class TestLacunarity:
     def test_geometric_exact(self):
@@ -174,13 +183,19 @@ class TestMajorization:
         s = strictly_majorizes(a, b, tau=0.5)
         assert s.holds == bool(ratios[-10:].max() <= 0.5 * ratios.max()) and s.window == 40
 
-    def test_window_term_out_of_double_range_refused(self):
-        # 1e-300 * 1e-300 * q^n underflows to 0, and a ratio over it is no number
-        tiny = Scaled(1e-300, Scaled(1e-300, Geometric(0.5)))
-        with pytest.raises(InputError, match="leaves the double range"):
-            majorizes(tiny, Samples((1.0, 1.0)))
-        with pytest.raises(InputError, match="leaves the double range"):
-            strictly_majorizes(tiny, Samples((1.0, 1.0)))
+    @pytest.mark.parametrize("model", [
+        Scaled(1e-300, Scaled(1e-300, Geometric(0.5))),  # terms underflow to 0
+        Scaled(1e-300, Scaled(1e-300, Power(1.0))),
+        Scaled(1e300, Scaled(1e300, Geometric(0.5))),    # terms overflow to inf
+    ])
+    def test_window_term_out_of_double_range_refused(self, model):
+        # a ratio over 0 or inf is no number, on either side: as b the model
+        # gave holds=True with a constant of inf or 0
+        samples = Samples((1.0, 0.5, 0.25))
+        for a, b in ((model, samples), (samples, model)):
+            for compare in (majorizes, strictly_majorizes):
+                with pytest.raises(InputError, match="leaves the double range"):
+                    compare(a, b)
 
     @pytest.mark.parametrize("model", [
         Scaled(1e-300, Samples((1e-300, 1e-300))),  # every term is 0
@@ -358,3 +373,5 @@ class TestParser:
             parse_model("geom(0.5) junk")
         with pytest.raises(InputError, match="integer"):
             parse_model("shift(1.5, geom(0.5))")
+        with pytest.raises(InputError, match="integer"):
+            parse_model("shift(1e400, geom(0.5))")

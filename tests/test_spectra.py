@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from widthlab import (
-    Ellipsoid,
     InputError,
     SingularSpectrum,
     WidthSequence,
@@ -159,18 +158,6 @@ class TestSections:
         with pytest.raises(InputError, match="orthonormal"):
             section_spectrum(e, np.array([[1.0, 1.0, 0.0]]).T)
 
-    def test_ellipsoid_rejects_a_non_finite_span_basis(self):
-        e = ellipsoid(np.diag([2.0, 1.0]))
-        with pytest.raises(InputError, match="span_basis: entries must be finite"):
-            Ellipsoid(e.generator, e.spectrum, np.full((2, 2), np.nan), e.right_basis)
-
-    def test_ellipsoid_rejects_bases_that_do_not_match_the_rank(self):
-        e = ellipsoid(np.diag([2.0, 1.0]))
-        with pytest.raises(InputError, match="spectrum rank"):
-            Ellipsoid(e.generator, e.spectrum, e.span_basis)
-        with pytest.raises(InputError, match="spectrum rank"):
-            Ellipsoid(e.generator, e.spectrum, e.span_basis[:, :1], e.right_basis[:, :1])
-
 
 class TestLazyBases:
     """s-numbers at construction from one values-only SVD; both bases on
@@ -247,6 +234,15 @@ class TestTruncation:
                 assert wt.width(n) == pytest.approx(we.width(n), rel=1e-13)
             for n in range(r, 6):
                 assert wt.width(n) == 0.0
+
+    def test_bases_are_the_parents_leading_columns(self, linalg_calls):
+        e = ellipsoid(np.random.default_rng(41).normal(size=(12, 9)))
+        span, right = e.span_basis, e.right_basis
+        calls = dict(linalg_calls)
+        t = truncate_ellipsoid(e, 5)
+        assert t.span_basis.tobytes() == span[:, :5].tobytes()
+        assert t.right_basis.tobytes() == right[:, :5].tobytes()
+        assert linalg_calls == calls
 
     def test_out_of_range(self):
         e = ellipsoid(np.diag([3.0, 2.0, 1.0]))
