@@ -13,14 +13,15 @@ from widthlab import (
     Samples,
     Shifted,
     SuperGeometric,
+    classify_WG,
     equivalent,
     is_lacunary,
     majorizes,
-    max_majorizing_shift,
     parse_model,
     sample,
     strictly_majorizes,
 )
+from widthlab.seqlab import shift_search
 
 geom = Geometric(0.5)          # a_n = 2^-n
 power = Power(2.0)             # a_n = (n+1)^-2
@@ -53,11 +54,16 @@ print("  pow(1) over pow(2):", strictly_majorizes(Power(1.0), Power(2.0)).holds)
 print("  geom over itself:  ", strictly_majorizes(geom, geom).holds)
 
 # Left shifts: a geometric sequence majorizes all of its shifts (ratio q^-k
-# stays bounded); a super-geometric one loses majorization at the exact gap.
-print("\nlargest majorizing shift (budget 8):")
-print("  geom vs itself:        ", max_majorizing_shift(geom, geom, 8))
-print("  steep vs shift(1,steep):", max_majorizing_shift(steep, Shifted(1, steep), 8))
-print("  steep vs itself:       ", max_majorizing_shift(steep, steep, 8))
+# stays bounded, k=None); a super-geometric one loses majorization at the
+# exact gap.  The largest majorizing shift is what classify_WG reads.
+print("\nlargest majorizing shift, and the WG closure it gives (budget 8):")
+for name, a, b in (("geom vs itself", geom, geom),
+                   ("steep vs shift(1,steep)", steep, Shifted(1, steep)),
+                   ("steep vs itself", steep, steep)):
+    found = shift_search(a, b, 8)
+    wg = classify_WG(a, b, k_max=8)
+    print(f"  {name + ':':25} k={found.k}, exact={found.base.exact} -> {wg.tag}"
+          + (f"({wg.k})" if wg.k is not None else ""))
 
 # Equivalence = majorization both ways; scaling never matters.
 print("\nequivalence:")

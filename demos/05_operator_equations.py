@@ -1,9 +1,10 @@
 """The bilinear equation X A Y = B and its density-flavoured constructions.
 
-Solvability is a pure rank comparison.  Beyond one solution, the set of
-solutions is huge: every operator factors exactly through a doubled space,
-and an invertible twist can steer any factorization toward arbitrary
-targets on finitely many vectors while keeping the product exact.
+Solvability is a pure rank comparison under the package's one rank rule;
+the verdict carries the two ranks and nothing else.  Beyond one solution,
+the set of solutions is huge: every operator factors exactly through a
+doubled space, and an invertible twist can steer any factorization toward
+arbitrary targets on finitely many vectors while keeping the product exact.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from widthlab import (
 
 rng = np.random.default_rng(5)
 
-# Solvability: rank(B) <= rank(A).
+# Solvability: rank(B) <= rank(A), nothing asymptotic about it.
 a = np.diag([1.0, 2.0, 0.0])
 b = np.diag([3.0, 0.0, 0.0])
 print("verdict:", xay_solvable(a, b))
@@ -43,6 +44,13 @@ e = np.eye(8)
 cert = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 2]], [e[:, 3]], eps=1e-6)
 print("\nmatch: residuals", cert.x_residuals, cert.y_residuals,
       " condition", round(cert.condition, 3))
+
+# Constraints that repeat each other (V e0 = e1 is also V^-1 e1 = e0) leave
+# the stacked systems dependent, so the targets are nudged: each moves by
+# eps/4 along a seeded unit direction orthogonal to what is already fixed.
+nudged = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=1e-3, seed=0)
+print("nudged match: residuals", [round(r / 1e-3, 6) for r in nudged.x_residuals + nudged.y_residuals],
+      "x eps")
 
 # Twisting the factorization toward X0 = Y0 = I on a test vector while the
 # product stays exactly B: the strong-operator density mechanism, finitely.

@@ -31,8 +31,8 @@ _EXPORTS = {
         "factor_pair", "first_component_member", "match_invertible", "solve_xay", "xay_solvable",
     ),
     "errors": (
-        "PSD_TOL", "ClassificationError", "InfeasibleError", "InputError", "NotCoverableError",
-        "UnsolvableError", "WidthlabError",
+        "PSD_TOL", "InfeasibleError", "InputError", "NotCoverableError", "UnsolvableError",
+        "WidthlabError",
     ),
     "expanding": ("ExpandVerdict", "expanding_dual_check", "is_expanding"),
     "matrixio": ("format_matrix", "parse_matrix", "read_matrix", "write_matrix"),
@@ -42,9 +42,9 @@ _EXPORTS = {
     ),
     "seqlab": (
         "DEFAULT_WINDOW", "MIN_TERM", "RATIO_THRESHOLD", "Geometric", "LacunarityVerdict",
-        "MajorizationVerdict", "Power", "Samples", "Scaled", "SequenceModel",
-        "ShiftClassification", "Shifted", "SuperGeometric", "equivalent", "is_lacunary",
-        "majorizes", "max_majorizing_shift", "parse_model", "sample", "strictly_majorizes",
+        "MajorizationVerdict", "Power", "Samples", "Scaled", "SequenceModel", "Shifted",
+        "SuperGeometric", "equivalent", "is_lacunary", "majorizes", "parse_model", "sample",
+        "strictly_majorizes",
         "ALGEBRA_AK", "EMPTY", "EVERYTHING", "KDIM", "ClassificationVerdict",
         "WeakFullnessVerdict", "classify_WCG", "classify_WE", "classify_WG", "is_weakly_full",
     ),

@@ -1,5 +1,6 @@
-"""The SVD, the rank cutoff, the Gram-matrix norm, the PSD margin, the
-Gram-Schmidt step and the power-of-two rescale that every verdict rests on.
+"""The SVD, the rank cutoff and the kernel basis it decides, the
+Gram-matrix norm, the PSD margin, the Gram-Schmidt step and the
+power-of-two rescale that every verdict rests on.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -71,6 +72,20 @@ def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND) -> int:
 def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     """Numerical rank of ``m`` under :func:`rank_from_values`."""
     return rank_from_values(svd(m, compute_uv=False), rcond)
+
+
+def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
+    """Orthonormal basis of ker(m) as columns: the right singular vectors
+    beyond :func:`rank`.
+
+    The kernel of a monomial ``m``, such as an axis-aligned constraint
+    block, comes out as exact coordinate vectors (see :func:`svd`), which
+    the diagonal-model experiments rely on.
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    # only a wide matrix needs full factors; a tall matrix's full u can be huge
+    _, sv, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vh[rank_from_values(sv, rcond):].T
 
 
 def extend_orthonormal(basis: list, v: np.ndarray) -> bool:

@@ -27,7 +27,6 @@ import sys
 from . import covering, equations, expanding, matrixio, rigid, seqlab, spectra
 from .errors import (
     PSD_TOL,
-    ClassificationError,
     InfeasibleError,
     InputError,
     NotCoverableError,
@@ -401,8 +400,7 @@ def run(argv) -> int:
         return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (InputError, NotCoverableError, ClassificationError,
-            UnsolvableError, InfeasibleError) as exc:
+    except (InputError, NotCoverableError, UnsolvableError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except WidthlabError as exc:

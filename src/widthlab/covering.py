@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, pow2_scaled, psd_margin, rank, rank_from_values, svd
+from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
+from ._linalg import rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
 from .seqlab import SequenceModel, is_lacunary, sample
-from .spectra import Ellipsoid, ellipsoid, nullspace_basis, truncate_ellipsoid
+from .spectra import Ellipsoid, ellipsoid, truncate_ellipsoid
 
 __all__ = [
     "PSD_TOL",

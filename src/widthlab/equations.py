@@ -5,7 +5,9 @@ solver is a fixed SVD-balanced recipe so tests are deterministic.  The
 density-flavoured operations are the two constructive kernels behind
 strong-operator approximation: exact factorizations ``X Y = B`` through a
 doubled internal space, and invertible operators matching finitely many
-vector constraints on both ``V`` and ``V^{-1}``.
+vector constraints on both ``V`` and ``V^{-1}``.  Every decision and basis
+comes from :mod:`_linalg`'s SVD and rank rule; the module needs no other
+package module but :mod:`errors`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from functools import reduce
 
 import numpy as np
 
-from ._linalg import extend_orthonormal, gram_top, pow2_scaled, rank, rank_from_values, svd
+from ._linalg import extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
 from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, check_seed, frozen
-from .seqlab import MajorizationVerdict, SequenceModel, majorizes
-from .spectra import nullspace_basis
 
 __all__ = [
     "SolvabilityVerdict",
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
-_WELL_POSED_RCOND = 1e-8  # constraints with s_min <= this * s_max are nudged
-_DIRECTION_FLOOR = 1e-8   # least norm a nudge direction keeps off the span
+_WELL_POSED_RCOND = 1e-8  # a constraint system short of full rank at this cutoff is nudged
 
 
 def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
@@ -59,14 +58,11 @@ def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SolvabilityVerdict:
-    """Finite branch: solvable iff rank(B) <= rank(A).  When sequence models
-    for the s-numbers are supplied, the asymptotic majorization verdict is
-    reported alongside."""
+    """Solvable iff rank(B) <= rank(A)."""
 
     solvable: bool
     rank_A: int
     rank_B: int
-    asymptotic: MajorizationVerdict | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +95,11 @@ class MatchCertificate:
         object.__setattr__(self, "operator", frozen(self.operator))
 
 
-def xay_solvable(a, b, a_model: SequenceModel | None = None,
-                 b_model: SequenceModel | None = None) -> SolvabilityVerdict:
+def xay_solvable(a, b) -> SolvabilityVerdict:
     """Decide solvability of ``X A Y = B`` (square operators on one space)."""
     a, b = as_square([("A", a), ("B", b)])
     ra, rb = rank(a), rank(b)
-    asym = None
-    if a_model is not None and b_model is not None:
-        asym = majorizes(a_model, b_model)
-    return SolvabilityVerdict(rb <= ra, ra, rb, asym)
+    return SolvabilityVerdict(rb <= ra, ra, rb)
 
 
 def solve_xay(a, b) -> SolutionPair:
@@ -169,19 +161,16 @@ def factor_pair(b) -> SolutionPair:
 def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """Unit vector orthogonal to the given columns, sign-aligned with
-    ``align_to`` so adding it can never cancel the existing component."""
-    d = span_cols.shape[0]
-    q = np.linalg.qr(span_cols)[0] if span_cols.shape[1] else np.zeros((d, 0))
-    for _ in range(64):
-        v = rng.normal(size=d)
-        v -= q @ (q.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > _DIRECTION_FLOOR:
-            v /= norm
-            if float(align_to @ v) < 0:
-                v = -v
-            return v
-    raise WidthlabError("internal: could not draw an orthogonal perturbation direction")
+    ``align_to`` so adding it can never cancel the existing component.
+
+    It is a seeded Gaussian combination of the orthonormal kernel basis of
+    ``span_cols^T``, which has a column whenever the span is not the whole
+    space, so one draw always succeeds.
+    """
+    kernel = nullspace_basis(span_cols.T)
+    c = rng.normal(size=kernel.shape[1])
+    v = kernel @ (c / np.linalg.norm(c))
+    return -v if float(align_to @ v) < 0 else v
 
 
 def match_invertible(xs, xs_target, ys, ys_target, eps: float,
@@ -216,8 +205,7 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
         raise InputError(f"ambient dimension {d} below |xs| + |ys| = {n + m}")
 
     def well_posed(mat: np.ndarray) -> bool:
-        sv = svd(mat, compute_uv=False)
-        return sv[-1] > _WELL_POSED_RCOND * sv[0]
+        return rank(mat, _WELL_POSED_RCOND) == mat.shape[1]
 
     rng = np.random.default_rng(seed)
     z, w = xt.copy(), yt.copy()
@@ -299,7 +287,12 @@ def approx_factorization(b, x0, y0, test_vectors, eps: float,
     ys_t = list((x.T @ np.linalg.solve(xxt, x0 @ sel)).T)
 
     delta = eps / (2.0 * gamma * (1.0 + norm_x))
-    match = match_invertible(cols, xs_t, cols, ys_t, delta, seed=seed)
+    try:
+        match = match_invertible(cols, xs_t, cols, ys_t, delta, seed=seed)
+    except InfeasibleError as exc:
+        raise InfeasibleError(
+            f"no invertible twist meets eps={eps:g} at dimension {d}: its constraints "
+            f"need residuals below {delta:g}", exc.achieved) from exc
     v = np.asarray(match.operator)
     v_inv = np.linalg.inv(v)
     xn, yn = x @ v_inv, v @ u1

@@ -36,10 +36,6 @@ class NotCoverableError(WidthlabError):
     """No bounded covering operator exists for the requested pair."""
 
 
-class ClassificationError(WidthlabError):
-    """A classification precondition fails (e.g. not even shift 0 majorizes)."""
-
-
 class InfeasibleError(WidthlabError):
     """A constructive operation cannot meet the requested tolerance.
 

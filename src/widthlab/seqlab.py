@@ -5,11 +5,12 @@ Supported models are finite ``Samples`` and three parametric families:
 and ``SuperGeometric(b)`` with ``a_n = b^(-n^2)``, plus ``Shifted`` and
 ``Scaled`` wrappers.
 
-Asymptotic predicates (lacunarity, majorization, strict majorization, shift
-classification) are undecidable from finite data, so every predicate has two
-branches: an exact branch driven by closed-form ratio analysis of the
-parametric families, and a windowed surrogate for ``Samples`` whose verdict
-carries ``exact=False`` together with the window and threshold used.
+Asymptotic predicates (lacunarity, majorization, strict majorization, and
+the one shift classifier, :func:`shift_search`) are undecidable from finite
+data, so every predicate has two branches: an exact branch driven by
+closed-form ratio analysis of the parametric families, and a surrogate over
+the first ``DEFAULT_WINDOW`` terms for ``Samples``, whose verdict carries
+``exact=False`` and the number of terms examined.
 
 The closure classifications that read only the width sequences (``WG``,
 ``WCG``, weak fullness and ``WE``, the closure of the expanding set) live
@@ -24,7 +25,7 @@ import numbers
 import re
 from dataclasses import dataclass
 
-from .errors import ClassificationError, InputError, check_positive
+from .errors import InputError, check_positive
 
 __all__ = [
     "SequenceModel",
@@ -36,14 +37,12 @@ __all__ = [
     "Scaled",
     "MajorizationVerdict",
     "LacunarityVerdict",
-    "ShiftClassification",
     "ShiftSearch",
     "sample",
     "is_lacunary",
     "majorizes",
     "strictly_majorizes",
     "shift_search",
-    "max_majorizing_shift",
     "equivalent",
     "parse_model",
     "DEFAULT_WINDOW",
@@ -205,7 +204,8 @@ class MajorizationVerdict:
 @dataclass(frozen=True)
 class LacunarityVerdict:
     """Is ``liminf a_{n+1}/a_n = 0``?  ``witness_ratio`` is the smallest
-    derived (exact branch) or observed (windowed branch) consecutive ratio."""
+    derived (exact branch) or observed (windowed branch) consecutive ratio;
+    a positive derived ratio below the double range reads as ``math.ulp(0.0)``."""
 
     lacunary: bool
     witness_ratio: float
@@ -213,23 +213,11 @@ class LacunarityVerdict:
 
 
 @dataclass(frozen=True)
-class ShiftClassification:
-    """Largest left shift of ``a`` that still majorizes ``b``.
-
-    ``k is None`` means every shift tested up to the budget ``exhausted_at``
-    majorizes.
-    """
-
-    k: int | None
-    exhausted_at: int
-
-
-@dataclass(frozen=True)
 class ShiftSearch:
     """Outcome of :func:`shift_search`; a closed-form ``k`` may exceed the budget."""
 
     base: MajorizationVerdict  # unshifted pair; base.exact marks the closed form
-    k: int | None              # largest (strictly) majorizing shift, None if all held
+    k: int | None              # largest (strictly) majorizing shift; None if all held or base failed
     exhausted_at: int          # the budget, or the last shift tested if terms ran out
     same_shape: bool           # a and b agree up to a positive scale
 
@@ -390,19 +378,12 @@ def _profile(a: _Canon, b: _Canon) -> _RatioProfile:
 # Windowed surrogates
 # ----------------------------------------------------------------------
 
-def _window_length(*models: SequenceModel, window: int) -> int:
-    n = window
-    for m in models:
-        avail = m.terms_available()
-        if avail is not None:
-            n = min(n, avail)
+def _window_ratios(a: SequenceModel, b: SequenceModel) -> list[float]:
+    """``b_n / a_n`` over the first ``DEFAULT_WINDOW`` terms both models define."""
+    avail = [m.terms_available() for m in (a, b)]
+    n = min([DEFAULT_WINDOW] + [t for t in avail if t is not None])
     if n < 1:
         raise InputError("no overlapping terms to compare")
-    return n
-
-
-def _window_ratios(a: SequenceModel, b: SequenceModel, window: int) -> list[float]:
-    n = _window_length(a, b, window=window)
     av, bv = sample(a, n), sample(b, n)
     _check_double_range(av, a)
     _check_double_range(bv, b)
@@ -433,7 +414,8 @@ def is_lacunary(model: SequenceModel, tau: float = RATIO_THRESHOLD,
         return LacunarityVerdict(False, c.param, True)
     if c.kind == _POW:
         o = c.offset
-        worst = ((o + 1.0) / (o + 2.0)) ** c.param
+        # positive, so an underflow is rounded up as in _exp_clamped
+        worst = max(((o + 1.0) / (o + 2.0)) ** c.param, math.ulp(0.0))
         return LacunarityVerdict(False, worst, True)
     if c.kind == _SUPER:
         return LacunarityVerdict(True, 0.0, True)
@@ -446,8 +428,7 @@ def is_lacunary(model: SequenceModel, tau: float = RATIO_THRESHOLD,
     return LacunarityVerdict(worst < tau, worst, False)
 
 
-def majorizes(a: SequenceModel, b: SequenceModel,
-              window: int = DEFAULT_WINDOW) -> MajorizationVerdict:
+def majorizes(a: SequenceModel, b: SequenceModel) -> MajorizationVerdict:
     """Is there a uniform C with ``b_n <= C a_n``?
 
     Exact (with minimal C) for parametric pairs.  When samples are involved
@@ -458,32 +439,29 @@ def majorizes(a: SequenceModel, b: SequenceModel,
     if _is_parametric(ca) and _is_parametric(cb):
         prof = _profile(ca, cb)
         return MajorizationVerdict(prof.bounded, prof.sup, None, True)
-    ratios = _window_ratios(a, b, window)
+    ratios = _window_ratios(a, b)
     return MajorizationVerdict(True, float(max(ratios)), len(ratios), False)
 
 
-def strictly_majorizes(a: SequenceModel, b: SequenceModel,
-                       window: int = DEFAULT_WINDOW,
-                       tau: float = RATIO_THRESHOLD) -> MajorizationVerdict:
+def strictly_majorizes(a: SequenceModel, b: SequenceModel) -> MajorizationVerdict:
     """Does ``b_n / a_n`` tend to zero?
 
     Exact for parametric pairs.  The samples surrogate is a trend test: the
     ratio maximum over the last quarter of the window must fall below
-    ``tau`` times the window maximum.
+    ``RATIO_THRESHOLD`` times the window maximum.
     """
-    check_positive(tau, "tau")
     ca, cb = _canon(a), _canon(b)
     if _is_parametric(ca) and _is_parametric(cb):
         prof = _profile(ca, cb)
         return MajorizationVerdict(prof.to_zero, prof.sup, None, True)
-    ratios = _window_ratios(a, b, window)
+    ratios = _window_ratios(a, b)
     top = max(ratios)
-    holds = bool(max(ratios[-max(1, len(ratios) // 4):]) <= tau * top)
+    holds = bool(max(ratios[-max(1, len(ratios) // 4):]) <= RATIO_THRESHOLD * top)
     return MajorizationVerdict(holds, float(top), len(ratios), False)
 
 
-def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = False,
-                 window: int = DEFAULT_WINDOW) -> ShiftSearch:
+def shift_search(a: SequenceModel, b: SequenceModel, k_max: int,
+                 strict: bool = False) -> ShiftSearch:
     """Largest left shift of ``a`` that still (strictly) majorizes ``b``.
 
     Parametric pairs are answered in closed form: only the equal-base
@@ -495,7 +473,7 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = 
     if k_max < 0:
         raise InputError(f"shift budget must be nonnegative, got {k_max}")
     compare = strictly_majorizes if strict else majorizes
-    base = compare(a, b, window=window)
+    base = compare(a, b)
     if not base.holds:
         return ShiftSearch(base, None, k_max, False)
     ca, cb = _canon(a), _canon(b)
@@ -507,7 +485,7 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = 
         return ShiftSearch(base, k, k_max, same)
     for k in range(1, k_max + 1):
         try:
-            holds = compare(Shifted(k, a), b, window=window).holds
+            holds = compare(Shifted(k, a), b).holds
         except InputError:
             # shift exhausted a finite samples model: every testable shift held
             return ShiftSearch(base, None, k - 1, same)
@@ -516,20 +494,9 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int, strict: bool = 
     return ShiftSearch(base, None, k_max, same)
 
 
-def max_majorizing_shift(a: SequenceModel, b: SequenceModel, k_max: int,
-                         window: int = DEFAULT_WINDOW) -> ShiftClassification:
-    """Largest ``k <= k_max`` whose left shift of ``a`` still majorizes ``b``."""
-    found = shift_search(a, b, k_max, window=window)
-    if not found.base.holds:
-        raise ClassificationError("not even k=0: the unshifted sequence does not majorize")
-    k = found.k if found.k is not None and found.k <= k_max else None
-    return ShiftClassification(k, found.exhausted_at)
-
-
-def equivalent(a: SequenceModel, b: SequenceModel,
-               window: int = DEFAULT_WINDOW) -> bool:
+def equivalent(a: SequenceModel, b: SequenceModel) -> bool:
     """True iff each sequence majorizes the other."""
-    return majorizes(a, b, window=window).holds and majorizes(b, a, window=window).holds
+    return majorizes(a, b).holds and majorizes(b, a).holds
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, rank_from_values, svd
+from ._linalg import RANK_RCOND, nullspace_basis, rank_from_values, svd
 from .errors import InputError, as_columns, as_operator, as_subspace, check_positive
 from .errors import check_spectrum, check_tolerance, frozen
 
@@ -36,19 +36,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9  # default slack of ellipsoid_membership
-
-
-def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns.
-
-    The kernel of a monomial ``m``, such as an axis-aligned constraint
-    block, comes out as exact coordinate vectors (see :func:`svd`), which
-    the diagonal-model experiments rely on.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    # only a wide matrix needs full factors; a tall matrix's full u can be huge
-    _, sv, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[rank_from_values(sv, rcond):].T
 
 
 @dataclass(frozen=True, eq=False)

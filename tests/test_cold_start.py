@@ -19,7 +19,9 @@ SRC = str(Path(widthlab.__file__).resolve().parent.parent)
 LAYERS = ("matrixio", "spectra", "seqlab", "covering", "equations", "expanding", "rigid", "_linalg")
 
 # Every name the package bound when it imported its modules eagerly, less
-# the deleted rigid size cap MAX_TRUNCATION.
+# the deleted rigid size cap MAX_TRUNCATION and the shift classifier that
+# shift_search replaced (max_majorizing_shift, ShiftClassification and its
+# ClassificationError).
 EAGER_NAMES = {
     "covering", "equations", "errors", "expanding", "matrixio", "rigid", "seqlab", "spectra",
     "ALGEBRA_AK", "EMPTY", "EVERYTHING", "KDIM", "MARGIN_BAND", "PSD_TOL",
@@ -28,15 +30,15 @@ EAGER_NAMES = {
     "is_weakly_full", "prescribed_cover", "range_equiv", "schmidt_cover", "wot_density_experiment",
     "MatchCertificate", "SolutionPair", "SolvabilityVerdict", "approx_factorization", "factor_pair",
     "first_component_member", "match_invertible", "solve_xay", "xay_solvable",
-    "ClassificationError", "InfeasibleError", "InputError", "NotCoverableError", "UnsolvableError",
+    "InfeasibleError", "InputError", "NotCoverableError", "UnsolvableError",
     "WidthlabError",
     "ExpandVerdict", "classify_WE", "expanding_dual_check", "is_expanding",
     "format_matrix", "parse_matrix", "read_matrix", "write_matrix",
     "CoverSearchReport", "EdgeGraphStats", "RigidCompactSpec", "build_rigid_compact",
     "rigid_cover_search",
     "DEFAULT_WINDOW", "MIN_TERM", "RATIO_THRESHOLD", "Geometric", "LacunarityVerdict",
-    "MajorizationVerdict", "Power", "Samples", "Scaled", "SequenceModel", "ShiftClassification",
-    "Shifted", "SuperGeometric", "equivalent", "is_lacunary", "majorizes", "max_majorizing_shift",
+    "MajorizationVerdict", "Power", "Samples", "Scaled", "SequenceModel",
+    "Shifted", "SuperGeometric", "equivalent", "is_lacunary", "majorizes",
     "parse_model", "sample", "strictly_majorizes",
     "RANK_RCOND", "Ellipsoid", "SingularSpectrum", "WidthSequence", "ellipsoid",
     "ellipsoid_membership", "kolmogorov_widths", "scale_ellipsoid", "section_spectrum",

@@ -1,5 +1,5 @@
 """The input contract as a whole: no argv makes the CLI exit 2, and no
-module imports another module's private names."""
+module imports another module's private or unexported names."""
 
 import ast
 import contextlib
@@ -116,6 +116,46 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+# modules whose every public name other modules may import: the shared
+# kernels and the checks, which have no __all__ of their own
+SHARED = {"_linalg", "errors"}
+
+
+def exported_names(source: str) -> list:
+    """The module's ``__all__``, empty when it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def unexported_imports(source: str, exports) -> list:
+    """``from .m import name`` in ``source`` with ``name`` not in
+    ``exports(m)``, for every package module ``m`` outside ``SHARED``."""
+    return [f"{node.lineno}: from .{node.module} import {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            and node.module not in SHARED
+            for alias in node.names if alias.name not in exports(node.module)]
+
+
+def test_modules_import_only_exported_names():
+    def exports(module):
+        return exported_names((PACKAGE / f"{module}.py").read_text())
+
+    offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line in unexported_imports(path.read_text(), exports)]
+    assert offenders == []
+
+
+def test_import_scan_flags_exactly_the_unexported_names():
+    source = ("from .a import f, g\nfrom ._linalg import h\nfrom .errors import k\n"
+              "from . import a\ndef w():\n    from .a import z\n")
+    assert unexported_imports(source, {"a": ["f"]}.get) == ["1: from .a import g",
+                                                           "6: from .a import z"]
+
+
 # the names a layer's __all__ may take from another module: defaults of the
 # layer's own signatures
 FOREIGN_DEFAULTS = {("covering.py", "PSD_TOL"), ("spectra.py", "RANK_RCOND")}
@@ -124,16 +164,13 @@ FOREIGN_DEFAULTS = {("covering.py", "PSD_TOL"), ("spectra.py", "RANK_RCOND")}
 def foreign_exports(source: str) -> list:
     """Names in the module's ``__all__`` that it does not define at top level
     (by ``def``, ``class`` or assignment)."""
-    exported, defined = [], set()
+    defined = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, ast.Assign):
-            names = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                exported = ast.literal_eval(node.value)
-    return [name for name in exported if name not in defined]
+            defined |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return [name for name in exported_names(source) if name not in defined]
 
 
 def test_every_public_name_has_one_home_module():
@@ -149,9 +186,11 @@ def test_export_scan_flags_exactly_the_imported_names():
     assert foreign_exports(source) == ["A", "f"]
 
 
-# numpy.linalg routines that run an SVD or an eigensolver; a matrix norm with
-# ord 2, -2 or 'nuc' takes the singular values too
-DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "pinv", "lstsq", "matrix_rank", "cond"}
+# numpy.linalg routines that run an SVD, an eigensolver or a QR
+# factorization; a matrix norm with ord 2, -2 or 'nuc' takes the singular
+# values too
+DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "pinv", "lstsq", "matrix_rank", "cond",
+                  "qr"}
 SPECTRAL_ORDS = {2, -2, "nuc"}
 
 
@@ -169,7 +208,7 @@ def spectral_ord(node) -> bool:
 
 
 def decomposition_calls(source: str) -> list:
-    """Lines of ``source`` that use an SVD- or eigen-based numpy.linalg
+    """Lines of ``source`` that use an SVD-, eigen- or QR-based numpy.linalg
     routine or import one (or ``norm``) from numpy.linalg."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -198,8 +237,9 @@ def test_only_linalg_calls_numpy_svd():
     ("np.linalg.cond(a)", 1), ("np.linalg.norm(v, 2)", 1), ("np.linalg.norm(v, ord=-2)", 1),
     ("np.linalg.norm(v, 'nuc')", 1), ("np.linalg.norm(v, ord=k)", 1),
     ("from numpy.linalg import eigh, solve", 1),
+    ("np.linalg.qr(a)", 1),
     ("np.linalg.norm(v)", 0), ("np.linalg.norm(v, axis=0)", 0), ("np.linalg.norm(v, 'fro')", 0),
-    ("np.linalg.solve(a, b)", 0), ("np.linalg.inv(a)", 0), ("np.linalg.qr(a)", 0),
+    ("np.linalg.solve(a, b)", 0), ("np.linalg.inv(a)", 0),
 ])
 def test_decomposition_scan_flags_exactly_the_banned_calls(source, hits):
     assert len(decomposition_calls(source)) == hits

@@ -26,7 +26,6 @@ from widthlab import (
     is_lacunary,
     is_weakly_full,
     kolmogorov_widths,
-    max_majorizing_shift,
     prescribed_cover,
     range_equiv,
     scale_ellipsoid,
@@ -36,7 +35,7 @@ from widthlab import (
     wot_density_experiment,
 )
 from widthlab.covering import MARGIN_BAND, PSD_TOL
-from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY
+from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, shift_search
 
 
 def random_contraction(rng, rows, cols):
@@ -396,7 +395,20 @@ class TestClassification:
         v = classify_WG(a, a, k_max=16)
         assert (v.tag, v.exact) == (EVERYTHING, False)
         assert v.note == "every tested shift up to 2 passed"
-        assert max_majorizing_shift(a, a, 16).exhausted_at == 2
+        assert shift_search(a, a, 16).exhausted_at == 2
+
+    def test_windowed_shift_that_fails_bounds_k(self):
+        # a is flat, b_n = 2^-(n^2).  Shift k leaves 8 - k terms of a, so the
+        # window holds the ratios b_0 .. b_{7-k}, with maximum b_0 = 1, and
+        # for k >= 1 its last quarter is the one ratio b_{7-k}.  The trend
+        # rule holds while b_{7-k} <= 1e-3: b_4 = 2^-16 passes at k = 3,
+        # b_3 = 2^-9 > 1e-3 fails at k = 4, so k = 3, below the budget.
+        a = Samples((1.0,) * 8)
+        b = Samples(tuple(2.0 ** -(n * n) for n in range(8)))
+        v = classify_WCG(a, b, k_max=16)
+        assert (v.tag, v.k, v.exact) == (KDIM, 3, False)
+        found = shift_search(a, b, 16, strict=True)
+        assert (found.k, found.exhausted_at) == (3, 16)
 
     @pytest.mark.parametrize("classify", [classify_WG, classify_WCG])
     @pytest.mark.parametrize("a, b", [

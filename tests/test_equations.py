@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from widthlab import (
-    Geometric,
     InfeasibleError,
     InputError,
     UnsolvableError,
@@ -38,10 +37,6 @@ class TestSolvability:
         for _ in range(200):
             x, y = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
             assert np.linalg.matrix_rank(x @ a @ y, tol=1e-9) <= 3
-
-    def test_asymptotic_branch(self):
-        v = xay_solvable(np.eye(2), np.eye(2), Geometric(0.5), Geometric(0.25))
-        assert v.asymptotic is not None and v.asymptotic.holds
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
@@ -184,6 +179,25 @@ class TestMatchInvertible:
         e = np.eye(4)
         cert = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=1e-3)
         assert max(cert.x_residuals + cert.y_residuals) < 1e-3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nudge_is_a_quarter_eps_off_the_span(self, seed):
+        # x target 0 lies in span(ys): every target is nudged by eps/4
+        # along a unit direction orthogonal to the targets before it
+        rng = np.random.default_rng(seed)
+        xs, ys, xst, yst = (rng.normal(size=(n, 7)) for n in (2, 2, 2, 2))
+        xst[0] = ys[0] - ys[1]
+        cert = match_invertible(xs, xst, ys, yst, eps=1e-6, seed=seed)
+        v = np.asarray(cert.operator)
+        moved = [v @ x - t for x, t in zip(xs, xst)]
+        np.testing.assert_allclose([np.linalg.norm(m) for m in moved], 0.25e-6, rtol=1e-6)
+        np.testing.assert_allclose(cert.x_residuals, 0.25e-6, rtol=1e-6)
+        assert max(cert.y_residuals) < 1e-6
+        # the second x target's nudge is orthogonal to ys and the first
+        # nudged target (a random direction has cosines near 0.3)
+        span = np.column_stack([*ys, xst[0] + moved[0]])
+        cosines = (span / np.linalg.norm(span, axis=0)).T @ (moved[1] / np.linalg.norm(moved[1]))
+        assert np.abs(cosines).max() <= 1e-6
 
     def test_dependent_inputs_rejected(self):
         e = np.eye(4)
@@ -345,6 +359,18 @@ class TestApproxFactorization:
         with pytest.raises(InputError, match="zero"):
             approx_factorization(np.eye(2), np.eye(2), np.eye(2),
                                  [np.zeros(2)], eps=1e-3)
+
+    def test_infeasible_twist_names_the_callers_eps(self):
+        # with ||B|| near 2^20 the twist must meet an inner tolerance of
+        # about 1.5e-9, which it misses; the error names eps=0.01, not that
+        rng = np.random.default_rng(0)
+        d = 6
+        b, x0, y0 = (rng.normal(size=(d, d)) for _ in range(3))
+        vs = list(rng.normal(size=(3, d)))
+        with pytest.raises(InfeasibleError, match=r"eps=0\.01 at dimension 6") as err:
+            approx_factorization(np.ldexp(b, 20), x0, y0, vs, eps=1e-2)
+        assert "eps=1.4" not in str(err.value)
+        assert err.value.achieved > 1e-9
 
     def test_infeasible_eps_reports_achieved(self):
         b = np.diag([1.0, 2.0])

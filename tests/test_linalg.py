@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab import InputError, solve_xay
-from widthlab._linalg import RANK_RCOND, rank, svd
-from widthlab.spectra import nullspace_basis
+from widthlab._linalg import RANK_RCOND, nullspace_basis, rank, svd
 
 
 @st.composite

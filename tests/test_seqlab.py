@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab import (
-    ClassificationError,
+    RATIO_THRESHOLD,
     Geometric,
     InputError,
     Power,
@@ -18,12 +18,12 @@ from widthlab import (
     equivalent,
     is_lacunary,
     majorizes,
-    max_majorizing_shift,
     parse_model,
     sample,
     strictly_majorizes,
     write_matrix,
 )
+from widthlab.seqlab import shift_search
 
 GRID = [
     Geometric(0.5),
@@ -91,6 +91,18 @@ class TestLacunarity:
         v = is_lacunary(Power(3.0))
         assert not v.lacunary and v.exact
 
+    @pytest.mark.parametrize("model, witness", [
+        (Power(2000.0), math.ulp(0.0)),       # (1/2)^2000 underflows
+        (Power(1e300), math.ulp(0.0)),
+        (Shifted(5, Power(2000.0)), (6 / 7) ** 2000),
+    ], ids=["pow(2000)", "pow(1e300)", "shift(5, pow(2000))"])
+    def test_steep_power_witness_stays_positive(self, model, witness):
+        # the smallest ratio ((o+1)/(o+2))^p is positive; an underflowed
+        # power read as witness 0 beside lacunary=False
+        v = is_lacunary(model)
+        assert (v.lacunary, v.exact) == (False, True)
+        assert v.witness_ratio == witness > 0.0
+
     def test_samples_window_surrogate(self):
         v = is_lacunary(Samples((1.0, 0.5, 1e-5, 5e-6)), tau=1e-3)
         assert v.lacunary and not v.exact
@@ -104,8 +116,6 @@ class TestLacunarity:
     def test_tau_must_be_positive_and_finite(self, tau):
         with pytest.raises(InputError, match="tau must be a positive finite number"):
             is_lacunary(Samples((1.0, 1e-5, 1e-6)), tau=tau)
-        with pytest.raises(InputError, match="tau must be a positive finite number"):
-            strictly_majorizes(Samples((1.0, 0.5)), Samples((1.0, 0.5)), tau=tau)
 
 
 class TestMajorization:
@@ -129,6 +139,40 @@ class TestMajorization:
         assert not majorizes(Geometric(0.5), Power(2.0)).holds
         assert majorizes(Geometric(0.5), SuperGeometric(2.0)).holds
         assert not majorizes(SuperGeometric(2.0), Geometric(0.5)).holds
+
+    @pytest.mark.parametrize("a, b", [
+        ((1.0, 2, 1.5), (1.0, 0, 4.0)),   # vertex at n = 0.83
+        ((1.0, 5, 1.1), (1.0, 0, 1.3)),   # vertex at n = 2.85
+        ((0.5, 0, 2.0), (1.0, 1, 3.0)),   # supremum at n = 0
+    ])
+    def test_supergeometric_bases_apart_brute_force(self, a, b):
+        # (c, k, base) is c * base^-((n+k)^2); with a slower base for a,
+        # log(b_n / a_n) is a downward parabola in n, so the maximum over
+        # the first terms is the minimal constant
+        def model(c, k, base):
+            return Scaled(c, Shifted(k, SuperGeometric(base)))
+
+        def log_term(c, k, base, n):
+            return math.log(c) - (n + k) ** 2 * math.log(base)
+
+        top = max(log_term(*b, n) - log_term(*a, n) for n in range(40))
+        v = majorizes(model(*a), model(*b))
+        assert (v.holds, v.exact) == (True, True)
+        assert v.constant == pytest.approx(math.exp(top), rel=1e-12)
+        assert strictly_majorizes(model(*a), model(*b)).holds
+
+    def test_supergeometric_constant_at_the_vertex(self):
+        # b_n / a_n = 1.5^((n+2)^2) / 4^(n^2) peaks at n = 1: 1.5^9 / 4
+        v = majorizes(Shifted(2, SuperGeometric(1.5)), SuperGeometric(4.0))
+        assert v.constant == 1.5 ** 9 / 4 == 9.61083984375
+
+    def test_supergeometric_faster_base_is_unbounded(self):
+        # b_n / a_n = (3/2)^(n^2) grows without bound, whatever the shifts
+        for a, b in ((SuperGeometric(3.0), SuperGeometric(2.0)),
+                     (SuperGeometric(3.0), Shifted(4, SuperGeometric(2.0)))):
+            for compare in (majorizes, strictly_majorizes):
+                v = compare(a, b)
+                assert (v.holds, v.constant, v.exact) == (False, None, True)
 
     def test_unimodal_supremum_cross_family(self):
         # brute-force the ratio maximum and compare with the closed-form scan
@@ -180,8 +224,8 @@ class TestMajorization:
         ratios = np.array(sample(b, 40)) / np.array(sample(a, 40))
         v = majorizes(a, b)
         assert type(v.constant) is float and v.constant == float(ratios.max())
-        s = strictly_majorizes(a, b, tau=0.5)
-        assert s.holds == bool(ratios[-10:].max() <= 0.5 * ratios.max()) and s.window == 40
+        s = strictly_majorizes(a, b)
+        assert s.holds == bool(ratios[-10:].max() <= RATIO_THRESHOLD * ratios.max()) and s.window == 40
 
     @pytest.mark.parametrize("model", [
         Scaled(1e-300, Scaled(1e-300, Geometric(0.5))),  # terms underflow to 0
@@ -208,7 +252,7 @@ class TestMajorization:
         one = Samples((1.0, 1.0))
         for check in (lambda: is_lacunary(model), lambda: majorizes(one, model),
                       lambda: majorizes(model, one), lambda: equivalent(model, model),
-                      lambda: max_majorizing_shift(one, model, 2),
+                      lambda: shift_search(one, model, 2),
                       lambda: is_lacunary(Shifted(1, Scaled(1.0, model)))):
             with pytest.raises(InputError, match=r"leaves the double range \(0 or infinite"):
                 check()
@@ -252,25 +296,26 @@ class TestMajorization:
 class TestShiftClassification:
     def test_supergeometric_shift(self):
         a = SuperGeometric(2.0)
-        sc = max_majorizing_shift(a, Shifted(1, a), 5)
-        assert sc.k == 1
+        found = shift_search(a, Shifted(1, a), 5)
+        assert found.k == 1 and found.base.exact
 
     def test_geometric_exhausts(self):
         g = Geometric(0.5)
-        sc = max_majorizing_shift(g, g, 5)
-        assert sc.k is None and sc.exhausted_at == 5
+        found = shift_search(g, g, 5)
+        assert found.k is None and found.exhausted_at == 5
 
     def test_supergeometric_self(self):
         a = SuperGeometric(2.0)
-        assert max_majorizing_shift(a, a, 5).k == 0
+        assert shift_search(a, a, 5).k == 0
 
     def test_precondition(self):
-        with pytest.raises(ClassificationError, match="not even k=0"):
-            max_majorizing_shift(Geometric(0.25), Geometric(0.5), 5)
+        # not even shift 0 majorizes: the unshifted verdict says so, no k
+        found = shift_search(Geometric(0.25), Geometric(0.5), 5)
+        assert not found.base.holds and found.k is None
 
     def test_negative_budget(self):
         with pytest.raises(InputError, match="shift budget must be nonnegative, got -2"):
-            max_majorizing_shift(Geometric(0.5), Geometric(0.5), -2)
+            shift_search(Geometric(0.5), Geometric(0.5), -2)
 
     def test_shift_monotonicity(self):
         # if shift k+1 majorizes then shift k does: scan the grid

@@ -15,7 +15,7 @@ from widthlab import (
     singular_spectrum,
     truncate_ellipsoid,
 )
-from widthlab.spectra import nullspace_basis
+from widthlab._linalg import nullspace_basis
 
 
 def random_orthogonal(rng, d):
