@@ -3,7 +3,7 @@
 T expands the seminorm ||A x|| when ||A T x|| >= ||A x|| everywhere, which
 transposes into T^T covering the ellipsoid of A^T.  At the other extreme, a
 carefully built non-convex compact admits no covering operator but the
-identity, certified here by exhaustive search.
+identity, certified here by the validator of its spec.
 """
 
 import numpy as np
@@ -40,8 +40,9 @@ print("classify (trivial ker): ", classify_WE(SuperGeometric(2.0), kernel_trivia
 
 # The rigid compact: origin plus alpha_k e_k and alpha_k beta_k e_k with
 # rapidly decaying alphas and distinct betas.  Any non-identity cover would
-# need two source axes per moved target axis but can offer only one, so the
-# exhaustive search certifies that the identity is alone.
+# need two source axes per moved target axis but can offer only one.  The
+# spec validator refuses betas that would let one axis match another, so an
+# accepted spec is rigid, and the report states the closed form.
 spec = RigidCompactSpec(
     n=5,
     alphas=tuple(10.0 ** (-(k * (k - 1)) / 2) for k in range(1, 6)),

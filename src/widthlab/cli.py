@@ -240,7 +240,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--model", required=True, help="s-number model of A")
     p.add_argument("--kernel-trivial", action="store_true", help="assert ker A = {0} (default: nontrivial)")
 
-    p = cmd("rigid", "exhaustive rigidity certificate for the two-points-per-axis compact", _rigid)
+    p = cmd("rigid", "identity-only rigidity certificate for the two-points-per-axis compact", _rigid)
     p.add_argument("--spec", required=True, help="JSON file with fields n, alphas, betas")
     p.add_argument("--norm-bound", required=True, type=float, help="norm cap for admissible covers")
 

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
 from ._linalg import rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
-from .errors import as_operator, as_square, as_subspace, check_seed, check_tolerance
+from .errors import as_operator, as_square, as_subspace, check_integer, check_tolerance
 from .seqlab import SequenceModel, is_lacunary, sample
 from .spectra import Ellipsoid, ellipsoid, truncate_ellipsoid
 
@@ -180,15 +180,14 @@ def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> Dic
     yields exactly ``q^m``); lacunary models collapse to zero — the
     dimension-tower shadow of the everything-vs-algebra dichotomy.
     """
-    if m < 0:
-        raise InputError(f"constraint count must be nonnegative, got {m}")
-    check_seed(seed)
-    dims = [int(d) for d in dims]
+    check_integer(m, 0, "constraint count must be nonnegative, got {}")
+    check_integer(seed, 0, "seed must be a nonnegative integer, got {}")
+    dims = list(dims)
     if not dims:
         raise InputError("need at least one dimension")
     for d in dims:
-        if d <= m:
-            raise InputError(f"dimension {d} must exceed the constraint count {m}")
+        check_integer(d, m + 1, f"dimension {{}} must exceed the constraint count {m}")
+    dims = [int(d) for d in dims]
     rhos, residuals = [], []
     for d in dims:
         try:

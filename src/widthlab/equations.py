@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
-from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, check_seed, frozen
+from .errors import as_columns, as_operator, as_square, check_integer, check_no_overflow, check_positive, frozen
 
 __all__ = [
     "SolvabilityVerdict",
@@ -186,7 +186,7 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
     invertible operator.
     """
     check_positive(eps, "eps")
-    check_seed(seed)
+    check_integer(seed, 0, "seed must be a nonnegative integer, got {}")
     x = as_columns(xs, None, "xs")
     if x.shape[1] == 0:
         raise InputError("xs must be nonempty")

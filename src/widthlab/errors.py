@@ -154,7 +154,11 @@ def check_tolerance(tol) -> None:
         raise InputError(f"tol must be a finite nonnegative number, got {tol}")
 
 
-def check_seed(seed) -> None:
-    """``seed`` must be a nonnegative integer, as ``numpy.random.default_rng`` takes."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+def check_integer(value, minimum: int, refusal: str) -> None:
+    """``value`` must be an integer of at least ``minimum``; a bool is not
+    one.  The error is ``refusal`` with the value in its ``{}``, marked when
+    it is not an integer."""
+    # the exact-type test spares the common int an abstract-class lookup
+    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not (integral and value >= minimum):
+        raise InputError(refusal.format(value if integral else f"{value!r} (not an integer)"))

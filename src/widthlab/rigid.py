@@ -1,5 +1,5 @@
-"""A non-convex compact whose covering semigroup is trivial, with a finite
-certification search.
+"""A non-convex compact whose covering semigroup is trivial, certified by
+the validator of its spec.
 
 The compact consists of the origin and two points per coordinate axis,
 ``alpha_k e_k`` and ``alpha_k beta_k e_k``, with rapidly decaying ``alpha``
@@ -11,25 +11,23 @@ same ratio.  Distinctness of the betas then forces every axis pair onto
 itself: the oriented source/target graph has out-degree at least 2 but
 in-degree at most 1 at every non-fixed axis, which no finite graph admits.
 
-The search works on axes, not points.  A linear ``D`` pins each source axis,
-``D e_m = c e_j``, so both points of axis ``m`` land on axis ``j``, either
-straight (``alpha_m -> alpha_j``, which needs ``beta_m = beta_j``) or
-swapped (``alpha_m beta_m -> alpha_j``, which needs ``beta_m beta_j = 1``).
-This ratio-match relation, with ratios compared to the relative tolerance
-``_RATIO_TOL``, is computed once; the covers are the axis bijections drawn
-from it, each an exact monomial ``D`` of norm ``max c``, and the degree
-certificates count its entries.  The validator refuses every spec whose
-relation holds more than the identity.
+On axes, a linear ``D`` pins each source axis, ``D e_m = c e_j``, taking
+both its points onto axis ``j`` straight (which needs ``beta_m = beta_j``)
+or swapped (``beta_m beta_j = 1``), with ratios compared to the relative
+tolerance ``_RATIO_TOL``.  The validator refuses every spec in which such a
+match holds but the identity's, so :func:`rigid_cover_search` reports the
+closed form of a lone identity.  Two checks decide it: no two adjacent
+sorted betas are close (a close pair anywhere leaves a close adjacent one),
+and the largest beta squared, which bounds every product and lies below 1,
+is not close to 1.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_integer
 
 __all__ = [
     "RigidCompactSpec",
@@ -40,8 +38,6 @@ __all__ = [
 ]
 
 _RATIO_TOL = 1e-12
-# A cover's norm may exceed the bound by this relative round-off.
-_NORM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,7 @@ class RigidCompactSpec:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if self.n < 1:
-            raise InputError(f"truncation size must be positive, got {self.n}")
+        check_integer(self.n, 1, "truncation size must be positive, got {}")
         if len(self.alphas) != self.n or len(self.betas) != self.n:
             raise InputError(
                 f"need exactly n={self.n} alphas and betas, "
@@ -69,15 +64,15 @@ class RigidCompactSpec:
             raise InputError("consecutive alpha ratios must decrease strictly")
         if any(not 0.5 < b < 1.0 for b in self.betas):
             raise InputError("betas must lie in the open interval (1/2, 1)")
-        for j, row in enumerate(_relation(self)):
-            for m, swapped, _ in row:
-                bm, bj = self.betas[m], self.betas[j]
-                if swapped:
-                    raise InputError(f"betas must stay clear of 1 (no product of two within "
-                                     f"relative {_RATIO_TOL:g} of 1): {bm!r} * {bj!r} is not")
-                if m != j:
-                    raise InputError(f"betas must be pairwise distinct (relative gap above "
-                                     f"{_RATIO_TOL:g}): {bm!r} and {bj!r} are not")
+        ordered = sorted(self.betas)
+        for b1, b2 in zip(ordered, ordered[1:]):
+            if _close(b1, b2):
+                raise InputError(f"betas must be pairwise distinct (relative gap above "
+                                 f"{_RATIO_TOL:g}): {b1!r} and {b2!r} are not")
+        top = ordered[-1]
+        if _close(top * top, 1.0):
+            raise InputError(f"betas must stay clear of 1 (no product of two within "
+                             f"relative {_RATIO_TOL:g} of 1): {top!r} * {top!r} is not")
 
 
 @dataclass(frozen=True)
@@ -114,37 +109,6 @@ def _close(x: float, y: float) -> bool:
     return abs(x - y) <= _RATIO_TOL * max(abs(x), abs(y))
 
 
-def _relation(spec: RigidCompactSpec) -> list[list[tuple[int, bool, float]]]:
-    """For each target axis ``j``, every ``(m, swapped, c)`` with
-    ``D e_m = c e_j`` mapping both points of source axis ``m`` onto the two
-    of axis ``j``: straight or swapped.  ``(j, False, 1.0)`` is the identity
-    and always present.  Only the axes that bisection finds in the sorted
-    betas near ``beta_j`` and ``1 / beta_j`` are compared."""
-    a, b = spec.alphas, spec.betas
-    order = sorted(range(spec.n), key=b.__getitem__)
-    keys = [b[m] for m in order]
-
-    def near(x: float) -> list[int]:  # a superset of the betas within _RATIO_TOL of x
-        return order[bisect_left(keys, x * (1 - 4 * _RATIO_TOL)):bisect_right(keys, x * (1 + 4 * _RATIO_TOL))]
-
-    return [[(m, swapped, a[j] / (a[m] * b[m] if swapped else a[m]))
-             for m in sorted({*near(b[j]), *near(1.0 / b[j])}) for swapped in (False, True)
-             if (_close(b[m] * b[j], 1.0) if swapped else _close(b[m], b[j]))]
-            for j in range(spec.n)]
-
-
-def _edge_graph_stats(relation: list) -> EdgeGraphStats:
-    """Out-degree: a non-fixed target axis takes its two points from one
-    source axis only through a relation entry other than the identity, and
-    from two axes otherwise.  In-degree: the number of target axes that a
-    source axis has an entry for."""
-    if len(relation) < 2:
-        return EdgeGraphStats(None, None)
-    out_min = 1 if any(len(row) > 1 for row in relation) else 2
-    feeds = Counter(m for row in relation for m in {entry[0] for entry in row})
-    return EdgeGraphStats(out_min, max(feeds.values()))
-
-
 def _norm_threshold(spec: RigidCompactSpec) -> float:
     """Conservative norm level past which the ratio argument certifies
     rigidity: max consecutive alpha ratio inverse times the smallest beta
@@ -158,29 +122,18 @@ def _norm_threshold(spec: RigidCompactSpec) -> float:
 
 
 def rigid_cover_search(spec: RigidCompactSpec, norm_bound: float) -> CoverSearchReport:
-    """Exhaustively certify that only the identity covers the compact.
+    """Certify that only the identity covers the compact.
 
-    Counts the covers ``D`` with ``||D|| <= norm_bound`` (to a relative
-    ``1e-9``): a depth-first search over target axes picks, for each, an
-    unused source axis from the ratio-match relation, and a full pick is the
-    monomial ``D e_m = c e_j``, whose norm is its largest ``c``.
+    The spec validator has refused every ratio match but the identity's, so
+    an accepted spec has one cover, the identity, of norm 1 and hence within
+    every ``norm_bound``; each of its target axes takes both points from one
+    source axis, which feeds no other.  The report is this closed form.
     """
     if not math.isfinite(norm_bound) or norm_bound < 1.0:
         raise InputError(f"norm bound must be at least 1, got {norm_bound}")
-    relation = _relation(spec)
-    cap = norm_bound * (1.0 + _NORM_SLACK)
-    choices = [[m for m, _, c in row if c <= cap] for row in relation]
-
-    admissible, stack = 0, [(0, 0)]  # (next target axis, bitmask of used source axes)
-    while stack:
-        j, used = stack.pop()
-        if j == spec.n:
-            admissible += 1
-        else:
-            stack.extend((j + 1, used | 1 << m) for m in choices[j] if not used >> m & 1)
     return CoverSearchReport(
-        identity_only=admissible == 1,
-        admissible_maps=admissible,
+        identity_only=True,
+        admissible_maps=1,
         max_norm_bound=_norm_threshold(spec),
-        edge_graph_stats=_edge_graph_stats(relation),
+        edge_graph_stats=EdgeGraphStats(2, 1) if spec.n > 1 else EdgeGraphStats(None, None),
     )

@@ -25,7 +25,7 @@ import numbers
 import re
 from dataclasses import dataclass
 
-from .errors import InputError, check_positive
+from .errors import InputError, check_integer, check_positive
 
 __all__ = [
     "SequenceModel",
@@ -175,8 +175,7 @@ def _checked_term(value: float, model: SequenceModel, i: int) -> float:
 
 def sample(model: SequenceModel, n: int) -> list[float]:
     """First ``n`` terms ``a_0 .. a_{n-1}``."""
-    if n < 1:
-        raise InputError(f"sample length must be at least 1, got {n}")
+    check_integer(n, 1, "sample length must be at least 1, got {}")
     return [model.term(i) for i in range(n)]
 
 
@@ -470,8 +469,7 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int,
     Otherwise shifts ``1 .. k_max`` are tested in turn with the windowed
     surrogate, stopping at the first that fails.
     """
-    if k_max < 0:
-        raise InputError(f"shift budget must be nonnegative, got {k_max}")
+    check_integer(k_max, 0, "shift budget must be nonnegative, got {}")
     compare = strictly_majorizes if strict else majorizes
     base = compare(a, b)
     if not base.holds:

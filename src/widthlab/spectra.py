@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import RANK_RCOND, nullspace_basis, rank_from_values, svd
 from .errors import InputError, as_columns, as_operator, as_subspace, check_positive
-from .errors import check_spectrum, check_tolerance, frozen
+from .errors import check_no_overflow, check_spectrum, check_tolerance, frozen
 
 __all__ = [
     "RANK_RCOND",
@@ -214,7 +214,11 @@ def truncate_ellipsoid(e: Ellipsoid, r: int) -> Ellipsoid:
 def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
     """The ellipsoid ``c * K``, generated by ``c`` times the generator."""
     check_positive(c, "scale")
-    return Ellipsoid(c * e.generator, SingularSpectrum(values=c * e.spectrum.values, rank=e.rank), e.rcond)
+    with np.errstate(over="ignore"):  # reported just below
+        generator, values = c * e.generator, c * e.spectrum.values
+    check_no_overflow(generator, "scaled generator entries")
+    check_no_overflow(values, "scaled singular values")
+    return Ellipsoid(generator, SingularSpectrum(values=values, rank=e.rank), e.rcond)
 
 
 def ellipsoid_membership(e: Ellipsoid, y, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -322,7 +322,7 @@ def test_criterion_09_expanding_duality():
 
 
 def test_criterion_10_rigidity():
-    """Exhaustive search at n=5: only the identity covers the compact."""
+    """At n=5 the validated spec certifies that only the identity covers the compact."""
     t0 = time.perf_counter()
     spec = RigidCompactSpec(
         n=5,

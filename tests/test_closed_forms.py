@@ -1,46 +1,126 @@
 """Documented closed forms, checked over the whole domain the API accepts
 rather than at a few hand-picked sizes."""
 
+import itertools
 import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from widthlab import (InputError, RigidCompactSpec, covers, ellipsoid, kolmogorov_widths,
-                      range_equiv, rigid_cover_search, singular_spectrum)
+                      range_equiv, singular_spectrum)
 
 betas_in_range = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 
 
 @st.composite
-def rigid_inputs(draw):
-    """Alphas from a start and sorted ratios, betas anywhere in (1/2, 1);
+def rigid_inputs(draw, max_n=12):
+    """Alphas from a start and sorted ratios, betas anywhere in (1/2, 1),
+    some of them a relative 1e-11 or less from an earlier beta or from 1;
     the validator, not the strategy, decides which specs are accepted."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     ratios = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1, unique=True))
     alphas = [draw(st.floats(1e-3, 1e3))]
     for r in sorted(ratios, reverse=True):
         alphas.append(alphas[-1] * r)
-    betas = draw(st.lists(betas_in_range, min_size=n, max_size=n))
+    betas = []
+    for _ in range(n):
+        beta = draw(betas_in_range)
+        near = draw(st.sampled_from(["free", "beta", "one"] if betas else ["free", "one"]))
+        if near != "free":
+            offset = draw(st.floats(-1e-11, 1e-11))
+            beta = (draw(st.sampled_from(betas)) if near == "beta" else 1.0) * (1.0 + offset)
+        betas.append(min(beta, math.nextafter(1.0, 0.0)))
     return tuple(alphas), tuple(betas)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rigid_inputs(), st.floats(1.0, 1e6))
-@example(((1.0, 0.5), (0.6, 1 - 1e-13)), 10.0)
-@example(((1.0, 0.5, 0.125), (0.6, 0.6 + 1e-11, 0.7)), 10.0)
-def test_every_accepted_rigid_spec_is_covered_by_the_identity_only(inputs, norm_bound):
+# The all-pairs definition of a rigid spec: an axis pair ``m != j`` matches
+# straight when ``beta_m = beta_j``, and any pair (``m = j`` included)
+# matches swapped when ``beta_m beta_j = 1``, both to a relative 1e-12.
+def close(x, y):
+    return abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+
+
+def rigid_by_definition(betas) -> bool:
+    n = len(betas)
+    return not any((m != j and close(betas[m], betas[j])) or close(betas[m] * betas[j], 1.0)
+                   for m in range(n) for j in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rigid_inputs())
+@example(((1.0, 0.5), (0.6, 1 - 1e-13)))
+@example(((1.0, 0.5, 0.125), (0.6, 0.6 + 1e-11, 0.7)))
+@example(((1.0, 0.5, 0.125), (0.6, 0.7, 0.6 + 1e-13)))
+def test_the_validator_accepts_exactly_the_rigid_specs_of_the_definition(inputs):
+    alphas, betas = inputs
+    try:
+        RigidCompactSpec(n=len(betas), alphas=alphas, betas=betas)
+    except InputError as exc:
+        if "distinct" in str(exc) or "clear of 1" in str(exc):
+            assert not rigid_by_definition(betas)
+            return
+        reject()  # refused for its alphas, or for a beta pushed out of (1/2, 1)
+    assert rigid_by_definition(betas)
+
+
+def covering_maps(alphas, betas) -> list:
+    """Every linear ``D`` with ``D K ⊇ K`` on the two-points-per-axis compact,
+    by brute force.  ``D`` fixes the origin and permutes the 2n nonzero
+    points; the image of each outer point ``alpha_m e_m`` fixes ``D e_m``,
+    so each choice of those images is one candidate ``D``, which must then
+    send the inner points ``alpha_m beta_m e_m`` onto the points left.  A
+    point is an ``(axis, coordinate)`` pair, and images match points to a
+    relative 1e-14.  Returns each ``D`` as the axes its columns land on."""
+    n = len(alphas)
+    points = [(k, alphas[k]) for k in range(n)] + [(k, alphas[k] * betas[k]) for k in range(n)]
+
+    def index(axis, value):
+        hits = [i for i in (axis, n + axis) if abs(points[i][1] - value) <= 1e-14 * max(points[i][1], value)]
+        return hits[0] if len(hits) == 1 else None
+
+    maps = []
+    for outer in itertools.permutations(range(2 * n), n):
+        # D e_m = (coordinate of point outer[m] / alpha_m) e_(its axis)
+        inner = [index(points[i][0], points[i][1] * betas[m]) for m, i in enumerate(outer)]
+        if None not in inner and sorted(inner + list(outer)) == list(range(2 * n)):
+            maps.append(tuple(points[i][0] for i in outer))
+    return maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(rigid_inputs(max_n=4))
+@example(((1.0, 0.5), (0.6, 1 - 1e-13)))
+@example(((1.0, 0.5, 0.125, 0.015625), (0.6, 0.6 + 1e-11, 0.7, 1 - 1e-11)))
+def test_every_accepted_rigid_spec_is_covered_by_the_identity_only(inputs):
     alphas, betas = inputs
     try:
         spec = RigidCompactSpec(n=len(betas), alphas=alphas, betas=betas)
     except InputError:
         reject()
-    rep = rigid_cover_search(spec, norm_bound)
-    assert rep.identity_only and rep.admissible_maps == 1
-    stats = (rep.edge_graph_stats.out_degree_min, rep.edge_graph_stats.in_degree_max)
-    assert stats == ((2, 1) if spec.n > 1 else (None, None))
+    assert covering_maps(spec.alphas, spec.betas) == [tuple(range(spec.n))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(rigid_inputs(max_n=4))
+def test_two_equal_betas_admit_a_second_cover_and_are_refused(inputs):
+    alphas, betas = inputs
+    if len(betas) < 2:
+        reject()
+    betas = (betas[0],) + betas[:1] + betas[2:]
+    if any(close(b * b, 1.0) for b in betas):
+        reject()  # the outer and inner point of an axis nearly coincide
+    assert len(covering_maps(alphas, betas)) >= 2
+    try:
+        RigidCompactSpec(n=len(betas), alphas=alphas, betas=betas)
+    except InputError as exc:
+        if "alpha" in str(exc):
+            reject()
+    else:
+        pytest.fail(f"betas {betas} were accepted")
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,9 +26,8 @@ SIZED = {"--dims": ["8,16", "64", "3,64", "5"], "--k-max": ["16", "1000", "1"],
          "--window": ["64", "1000", "1"]}
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("contract")
+def write_inputs(d: Path) -> Path:
+    """The matrix files and rigidity specs that ``command_table`` names, in ``d``."""
     mats = {"A": np.diag([3.0, 2.0, 1.0]), "T": 2 * np.eye(3), "Z": np.zeros((3, 3)),
             "R": np.arange(6.0).reshape(2, 3), "Y": np.array([[1.0, 0.0, 0.0]]).T,
             "X1": np.array([[1.0, 0.0, 0.0, 0.0]]), "X2": np.array([[0.0, 1.0, 0.0, 0.0]])}
@@ -39,6 +38,11 @@ def files(tmp_path_factory):
     for name, spec in specs.items():
         (d / f"{name}.json").write_text(json.dumps(spec))
     return d
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("contract"))
 
 
 def command_table(d: Path) -> dict:

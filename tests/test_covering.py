@@ -346,13 +346,22 @@ class TestDichotomyExperiment:
         with pytest.raises(InputError, match="must exceed"):
             wot_density_experiment(Geometric(0.5), 2, (2,), seed=1)
 
+    def test_fractional_constraint_count(self):
+        with pytest.raises(InputError, match=r"constraint count must be nonnegative, got 1.5 \(not an integer\)"):
+            wot_density_experiment(Geometric(0.5), 1.5, [8], 0)
+
+    def test_fractional_dimension(self):
+        # refused, not cut down to a run at d = 8
+        with pytest.raises(InputError, match=r"dimension 8.7 \(not an integer\) must exceed"):
+            wot_density_experiment(Geometric(0.5), 0, [8.7], 0)
+
     def test_narrow_dimension_still_runs(self):
         # d < 2m: the constrained-axis pool is too small for the closed-form
         # draw; the fallback still produces a valid bounded yield
         rep = wot_density_experiment(Geometric(0.5), 2, (3,), seed=1)
         assert 0 < rep.rho[0] <= 1.0
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(InputError, match="seed must be a nonnegative integer"):
             wot_density_experiment(Geometric(0.5), 1, (4,), seed=seed)
@@ -418,6 +427,11 @@ class TestClassification:
     def test_negative_shift_budget_is_rejected(self, classify, a, b):
         with pytest.raises(InputError, match="shift budget must be nonnegative, got -1"):
             classify(a, b, k_max=-1)
+
+    def test_a_bool_is_no_shift_budget(self):
+        # a bool is no budget, though it compares as 1
+        with pytest.raises(InputError, match=r"got True \(not an integer\)"):
+            classify_WG(Samples((1.0, 0.5, 0.25)), Samples((1.0, 0.5, 0.25)), True)
 
 
 class TestSeparatingProjection:

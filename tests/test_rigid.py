@@ -23,8 +23,8 @@ class TestSpecValidation:
             RigidCompactSpec(n=2, alphas=(1.0, 0.01), betas=(0.6, 0.6))
 
     def test_betas_the_search_cannot_tell_apart(self):
-        # the search compares ratios with a 1e-12 relative tolerance, so it
-        # would take these betas for equal and admit a second cover
+        # ratios are compared to a 1e-12 relative tolerance, which takes
+        # these betas for equal: the swap of their axes would match too
         with pytest.raises(InputError, match="distinct"):
             RigidCompactSpec(n=4, alphas=(1.0, 0.5, 0.125, 0.015625),
                              betas=(0.6, 0.6 + 1e-13, 0.7, 0.8))
@@ -33,8 +33,8 @@ class TestSpecValidation:
         assert rigid_cover_search(spec, norm_bound=10.0).identity_only
 
     def test_betas_whose_product_is_one(self):
-        # beta^2 = 1 - 2e-14 passes for 1, so the search would also admit
-        # the map that swaps the two points of that axis
+        # beta^2 = 1 - 2e-14 passes for 1, so the map that swaps the two
+        # points of that axis would match too
         with pytest.raises(InputError, match="stay clear of 1"):
             RigidCompactSpec(n=2, alphas=(1.0, 0.5), betas=(0.6, 1 - 1e-14))
         with pytest.raises(InputError, match="stay clear of 1"):
@@ -47,6 +47,12 @@ class TestSpecValidation:
     def test_alpha_ratios_must_decrease(self):
         with pytest.raises(InputError, match="decrease strictly"):
             RigidCompactSpec(n=3, alphas=(1.0, 0.5, 0.25), betas=(0.6, 0.7, 0.8))
+
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_truncation_size_must_be_an_integer(self, n):
+        # neither is an integer, though each equals one
+        with pytest.raises(InputError, match="truncation size must be positive, got .* \\(not an integer\\)"):
+            RigidCompactSpec(n=n, alphas=(1.0, 0.5), betas=(0.6, 0.7))
 
     def test_length_mismatch(self):
         with pytest.raises(InputError, match="exactly n=2"):
@@ -101,7 +107,7 @@ class TestSearch:
         assert rep.max_norm_bound == pytest.approx(1e7 * 0.05)
 
     def test_a_thousand_axes_certify_identity_only(self):
-        # the axis count runs without recursion, so no recursion limit binds
+        # the validator sorts the betas once, so a large spec costs no search
         n = 1000
         alphas = tuple(math.exp(-k * k / (4 * n)) for k in range(n))
         betas = tuple(0.51 + 0.48 * k / n for k in range(n))

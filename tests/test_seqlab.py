@@ -317,6 +317,14 @@ class TestShiftClassification:
         with pytest.raises(InputError, match="shift budget must be nonnegative, got -2"):
             shift_search(Geometric(0.5), Geometric(0.5), -2)
 
+    def test_fractional_budget(self):
+        with pytest.raises(InputError, match=r"shift budget must be nonnegative, got 2.5 \(not an integer\)"):
+            shift_search(Geometric(0.5), Geometric(0.5), 2.5)
+
+    def test_fractional_sample_length(self):
+        with pytest.raises(InputError, match=r"sample length must be at least 1, got 2.5 \(not an integer\)"):
+            sample(Geometric(0.5), 2.5)
+
     def test_shift_monotonicity(self):
         # if shift k+1 majorizes then shift k does: scan the grid
         for a in GRID:

@@ -299,3 +299,12 @@ class TestHelpers:
         s = scale_ellipsoid(e, 3.0)
         np.testing.assert_array_equal(s.spectrum.values, [6.0, 3.0])
         np.testing.assert_array_equal(s.generator, np.diag([6.0, 3.0]))
+
+    @pytest.mark.parametrize("a, c, what", [
+        (1e300 * np.eye(2), 1e300, "generator entries"),
+        (1e300 * np.ones((2, 2)), 1e8, "singular values"),  # entries 1e308, top s-number 2e308
+    ])
+    def test_scale_ellipsoid_refuses_overflow(self, a, c, what):
+        # no numpy RuntimeWarning, which pytest turns into an error here
+        with pytest.raises(InputError, match=f"scaled {what} overflow double precision; rescale the input"):
+            scale_ellipsoid(ellipsoid(a), c)
