@@ -153,7 +153,7 @@ def _build_parser() -> _ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, help_text, handler):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON report (default: human-readable)")
         p.set_defaults(handler=handler)
         return p

@@ -20,9 +20,9 @@ import numpy as np
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
 from ._linalg import rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
-from .errors import as_operator, as_square, as_subspace, check_integer, check_tolerance
+from .errors import as_operator, as_square, as_subspace, check_integer, check_spectrum, check_tolerance
 from .seqlab import SequenceModel, is_lacunary, sample
-from .spectra import Ellipsoid, ellipsoid, truncate_ellipsoid
+from .spectra import Ellipsoid, ellipsoid
 
 __all__ = [
     "PSD_TOL",
@@ -109,6 +109,22 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
     return CoverCertificate(True, margin, witness=t, norm=float(np.ldexp(math.sqrt(gram_top(tt)), e)))
 
 
+def _schmidt_pairing(s_src, s_tgt, shape, bases) -> tuple[np.ndarray, float]:
+    """Minimal-norm cover from the nonzero s-numbers ``s_src`` and ``s_tgt``
+    of a source and a target: ``C = max_n s_tgt[n]/s_src[n]`` and
+    ``D = C U_tgt U_src^T`` over the leading ``len(s_tgt)`` span-basis
+    columns, which ``bases()`` returns as ``(U_src, U_tgt)`` once a nonzero
+    ``D`` needs them; ``shape`` is the shape of ``D``."""
+    r1, r2 = s_src.size, s_tgt.size
+    if r2 > r1:
+        raise NotCoverableError(f"not coverable: target rank {r2} exceeds source rank {r1}")
+    if r2 == 0:
+        return np.zeros(shape), 0.0
+    u_src, u_tgt = bases()
+    c = float(np.max(s_tgt / s_src[:r2]))
+    return c * (u_tgt[:, :r2] @ u_src[:, :r2].T), c
+
+
 def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
     """Minimal-norm operator with ``D K1 ⊇ K2`` between ellipsoids.
 
@@ -116,29 +132,28 @@ def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
     ``C = max_n s_n(A2)/s_n(A1)``; no covering operator of smaller norm
     exists, since any cover must satisfy ``d_n(K2) <= ||D|| d_n(K1)``.
     """
-    r2 = e2.rank
-    if r2 > e1.rank:
-        raise NotCoverableError(
-            f"not coverable: target rank {r2} exceeds source rank {e1.rank}"
-        )
-    if r2 == 0:
-        return np.zeros((e2.ambient_dim, e1.ambient_dim)), 0.0
-    s1 = e1.spectrum.values[:r2]
-    s2 = e2.spectrum.values[:r2]
-    c = float(np.max(s2 / s1))
-    d = c * (e2.span_basis[:, :r2] @ e1.span_basis[:, :r2].T)
-    return d, c
+    return _schmidt_pairing(
+        e1.spectrum.values[: e1.rank], e2.spectrum.values[: e2.rank],
+        (e2.ambient_dim, e1.ambient_dim), lambda: (e1.span_basis, e2.span_basis),
+    )
 
 
 def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
     """Cover a shrunken truncation while interpolating prescribed values.
 
     ``y`` holds ``m`` orthonormal columns of the ambient space and ``n`` the
-    prescribed images of those columns (``D y_j = n_j`` exactly).  On the
-    orthogonal complement, ``D`` acts as the norm-one Schmidt cover from the
-    section ``K ∩ Y⊥`` onto ``rho * truncate(E, rank - m)``; exact
-    self-covering is impossible at a fixed dimension, so the achieved
-    fraction ``rho = 1/C`` of the truncated target is the reported yield.
+    prescribed images of those columns: ``D y_j = n_j``, exactly when the
+    ``y_j`` are coordinate vectors and up to round-off (about ``1e-15``
+    relative) otherwise.  On the orthogonal complement, ``D`` acts as the
+    norm-one Schmidt cover from the section ``K ∩ Y⊥`` onto
+    ``rho * truncate(E, rank - m)``; exact self-covering is impossible at a
+    fixed dimension, so the achieved fraction ``rho = 1/C`` of the truncated
+    target is the reported yield.
+
+    The section's s-numbers and span basis come from one factored SVD of
+    ``A Z`` (``Z`` an orthonormal basis of ``ker(Y^T A)``), and the
+    truncation is ``e``'s own leading ``rank - m`` singular pairs, as
+    :func:`~widthlab.spectra.truncate_ellipsoid` would give them.
     """
     amb = e.ambient_dim
     y = as_subspace(y, amb, "constraint subspace")
@@ -152,13 +167,17 @@ def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
         n = as_operator(n, "prescribed images")
 
     kernel = nullspace_basis(y.T @ e.generator, rcond=e.rcond)
-    section = ellipsoid(e.generator @ kernel, rcond=e.rcond)
-    truncated = truncate_ellipsoid(e, e.rank - m)
-    d_schmidt, c = schmidt_cover(section, truncated)
+    u_sec, s_sec, _ = svd(e.generator @ kernel)
+    check_spectrum(s_sec, "singular spectrum")
+    d_schmidt, c = _schmidt_pairing(
+        s_sec[: rank_from_values(s_sec, e.rcond)], e.spectrum.values[: e.rank - m],
+        (amb, amb), lambda: (u_sec, e.span_basis),
+    )
     d0 = d_schmidt / c
     rho = 1.0 / c
     if m:
-        d = n @ y.T + d0 @ (np.eye(amb) - y @ y.T)
+        # D = N Y^T + D0 (I - Y Y^T), applied as a rank-m update
+        d = d0 - (d0 @ y) @ y.T + n @ y.T
     else:
         d = d0
     return d, rho

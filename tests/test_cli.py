@@ -260,6 +260,11 @@ class TestErrorPaths:
         assert code == 0
         assert out[out.index("{") + 1:out.index("}")].split(",") == SUBCOMMANDS
 
+    def test_subcommand_help_says_what_it_does(self, capsys):
+        code, out, _ = invoke(capsys, ["rigid", "--help"])
+        assert code == 0
+        assert "identity-only rigidity certificate for the two-points-per-axis compact" in out
+
     @pytest.mark.parametrize("argv", [
         ["classify-wg", "--a", "samples(1,.5,.25)", "--b", "samples(1,.5,.25)", "--k-max", "-1"],
         ["classify-wcg", "--a", "geom(0.5)", "--b", "geom(0.25)", "--k-max", "-5"],

@@ -31,9 +31,11 @@ from widthlab import (
     scale_ellipsoid,
     schmidt_cover,
     section_spectrum,
+    singular_spectrum,
     truncate_ellipsoid,
     wot_density_experiment,
 )
+from widthlab._linalg import nullspace_basis
 from widthlab.covering import MARGIN_BAND, PSD_TOL
 from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, shift_search
 
@@ -267,6 +269,79 @@ class TestPrescribedCover:
         target = scale_ellipsoid(truncate_ellipsoid(e, 4), rho)
         assert covers(d, e, target).holds
 
+    def test_coordinate_constraints_are_met_bitwise(self):
+        rng = np.random.default_rng(21)
+        e = ellipsoid(np.diag(rng.normal(size=12)))
+        y = np.zeros((12, 3))
+        y[[1, 5, 9], np.arange(3)] = 1.0
+        n = rng.normal(size=(12, 3))
+        d, _ = prescribed_cover(e, y, n)
+        assert (d @ y).tobytes() == n.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_constraints_are_met_to_round_off(self, seed):
+        # D y = D0 y (I - Y^T Y) + N Y^T Y: exact only up to the rounding
+        # of Y^T Y, about 1e-15 relative
+        rng = np.random.default_rng(seed)
+        e = ellipsoid(rng.normal(size=(30, 30)))
+        y = np.linalg.qr(rng.normal(size=(30, 3)))[0]
+        n = rng.normal(size=(30, 3))
+        d, _ = prescribed_cover(e, y, n)
+        assert np.linalg.norm(d @ y - n) <= 1e-12 * np.linalg.norm(n)
+
+    @staticmethod
+    def composed_route(a, y, n):
+        """``prescribed_cover`` spelled with public calls: the Schmidt cover
+        from the section ellipsoid onto the truncation, applied off ``Y``."""
+        e = ellipsoid(a)
+        m = y.shape[1]
+        section = ellipsoid(a @ nullspace_basis(y.T @ a))
+        d_schmidt, c = schmidt_cover(section, truncate_ellipsoid(e, e.rank - m))
+        return n @ y.T + (d_schmidt / c) @ (np.eye(a.shape[0]) - y @ y.T), 1.0 / c
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_diagonal_generator_matches_the_composed_route_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(3, 41))
+        m = int(rng.integers(1, 4))
+        a = np.diag(rng.normal(size=dim) * np.exp(3 * rng.normal(size=dim)))
+        y = np.zeros((dim, m))
+        y[rng.choice(dim, size=m, replace=False), np.arange(m)] = 1.0
+        n = rng.normal(size=(dim, m))
+        d, rho = prescribed_cover(ellipsoid(a), y, n)
+        d_ref, rho_ref = self.composed_route(a, y, n)
+        assert rho.hex() == rho_ref.hex()
+        assert d.tobytes() == d_ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_generator_matches_the_composed_route(self, seed):
+        # the section's s-numbers come from a factored SVD here and from a
+        # values-only one on the composed route; each is accurate to a few
+        # ulps of sigma_1, so rho = min_k sigma_k / s_k agrees to a few ulps
+        # times sigma_1 / sigma_k at the index k that attains it
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 41))
+        m = int(rng.integers(1, min(3, dim - 1) + 1))
+        a = rng.normal(size=(dim, dim))
+        y = np.linalg.qr(rng.normal(size=(dim, m)))[0]
+        n = rng.normal(size=(dim, m))
+        _, rho = prescribed_cover(ellipsoid(a), y, n)
+        _, rho_ref = self.composed_route(a, y, n)
+        sigma = singular_spectrum(a @ nullspace_basis(y.T @ a)).values[: dim - m]
+        k = int(np.argmax(singular_spectrum(a).values[: dim - m] / sigma))
+        assert abs(rho - rho_ref) <= 8 * math.ulp(rho_ref) * sigma[0] / sigma[k]
+
+    def test_dense_cover_makes_two_factored_svds(self, linalg_calls):
+        # one for the kernel of Y^T A, one for the section; the source's
+        # bases were read before, and the truncation is their leading part
+        rng = np.random.default_rng(22)
+        e = ellipsoid(rng.normal(size=(20, 20)))
+        assert e.span_basis.shape == (20, 20)
+        y = np.linalg.qr(rng.normal(size=(20, 2)))[0]
+        linalg_calls.update(svd=0, svd_uv=0, eigvalsh=0)
+        prescribed_cover(e, y, rng.normal(size=(20, 2)))
+        assert linalg_calls == {"svd": 0, "svd_uv": 2, "eigvalsh": 0}
+
     def test_constraint_dimension_capped(self):
         e = ellipsoid(np.diag([1.0, 0.5]))
         with pytest.raises(InputError, match="below the rank"):
@@ -320,6 +395,12 @@ class TestDichotomyExperiment:
                 assert rho == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), (m, d)
                 d += 1
             assert d > 20
+
+    def test_tower_makes_no_numpy_decomposition(self, linalg_calls):
+        # every generator, constraint block and section in the tower is
+        # monomial, which the SVD entry point decomposes exactly
+        wot_density_experiment(Geometric(0.5), 2, (8, 16, 128), seed=3)
+        assert linalg_calls == {"svd": 0, "svd_uv": 0, "eigvalsh": 0}
 
     def test_no_constraints_full_yield(self):
         rep = wot_density_experiment(Geometric(0.5), 0, (4, 8), seed=11)
