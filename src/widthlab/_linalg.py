@@ -115,7 +115,7 @@ def psd_margin(g1: np.ndarray, g2: np.ndarray, n1: float, n2: float) -> float:
     ``n1`` and ``n2`` are the squared spectral norms of the factors of the
     Gram matrices ``g1`` and ``g2`` (their largest eigenvalues, as
     :func:`gram_top` gives them, or squared cached s-numbers); ``g1 ≽ g2``
-    reads ``margin >= -tol``."""
+    reads ``margin >= -PSD_TOL``."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         diff = g1 - g2
         sym = 0.5 * diff + 0.5 * diff.T  # halves first: diff + diff.T can overflow

@@ -25,14 +25,7 @@ import re
 import sys
 
 from . import covering, equations, expanding, matrixio, rigid, seqlab, spectra
-from .errors import (
-    PSD_TOL,
-    InfeasibleError,
-    InputError,
-    NotCoverableError,
-    UnsolvableError,
-    WidthlabError,
-)
+from .errors import InfeasibleError, InputError, NotCoverableError, UnsolvableError, WidthlabError
 
 __all__ = ["run", "main"]
 
@@ -167,16 +160,11 @@ def _build_parser() -> _ArgumentParser:
 
     p = cmd("classify-seq", "lacunarity verdict for a sequence model", _classify_seq)
     p.add_argument("--model", required=True, help="sequence model expression")
-    p.add_argument("--tau", type=float, default=seqlab.RATIO_THRESHOLD,
-                   help="windowed ratio threshold (default %(default)s)")
-    p.add_argument("--window", type=int, default=seqlab.DEFAULT_WINDOW,
-                   help="surrogate window length (default %(default)s)")
 
     p = cmd("cover-test", "does T map one ellipsoid over another?", _cover_test)
     p.add_argument("--t", required=True, help="operator matrix file")
     p.add_argument("--e1", required=True, help="source generator file")
     p.add_argument("--e2", required=True, help="target generator file")
-    p.add_argument("--tol", type=float, default=PSD_TOL, help="PSD slack (default %(default)s)")
 
     p = cmd("cover-make", "minimal-norm covering operator between ellipsoids", _cover_make)
     p.add_argument("--e1", required=True, help="source generator file")
@@ -233,7 +221,6 @@ def _build_parser() -> _ArgumentParser:
     p = cmd("expanding", "does T expand the seminorm x -> ||A x||?", _expanding)
     p.add_argument("--t", required=True, help="matrix file for T")
     p.add_argument("--a", required=True, help="matrix file for A")
-    p.add_argument("--tol", type=float, default=PSD_TOL, help="PSD slack (default %(default)s)")
     p.add_argument("--dual-check", action="store_true", help="also run the transposed covering cross-check")
 
     p = cmd("classify-we", "closure of the expanding set from the s-number model of A", _classify_we)
@@ -269,7 +256,7 @@ def _section(args) -> None:
 
 
 def _classify_seq(args) -> None:
-    verdict = seqlab.is_lacunary(seqlab.parse_model(args.model), tau=args.tau, window=args.window)
+    verdict = seqlab.is_lacunary(seqlab.parse_model(args.model))
     _emit(args, verdict,
           [f"lacunary:      {verdict.lacunary}",
            f"witness ratio: {_fmt(verdict.witness_ratio)}",
@@ -277,8 +264,7 @@ def _classify_seq(args) -> None:
 
 
 def _cover_test(args) -> None:
-    cert = covering.covers(matrixio.read_matrix(args.t), _read_ellipsoid(args.e1),
-                           _read_ellipsoid(args.e2), tol=args.tol)
+    cert = covering.covers(matrixio.read_matrix(args.t), _read_ellipsoid(args.e1), _read_ellipsoid(args.e2))
     _emit(args, cert,
           [f"covers:     {cert.holds}",
            f"psd margin: {_fmt(cert.psd_margin)}"]
@@ -366,7 +352,7 @@ def _separate(args) -> None:
 
 def _expanding(args) -> None:
     t, a = matrixio.read_matrix(args.t), matrixio.read_matrix(args.a)
-    verdict = expanding.is_expanding(t, a, tol=args.tol)
+    verdict = expanding.is_expanding(t, a)
     payload = {"expanding": verdict.expanding, "margin": verdict.margin}
     lines = [f"expanding: {verdict.expanding}", f"margin:    {_fmt(verdict.margin)}"]
     if args.dual_check:

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
 from ._linalg import rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
-from .errors import as_operator, as_square, as_subspace, check_integer, check_spectrum, check_tolerance
+from .errors import as_operator, as_square, as_subspace, check_integer, check_spectrum
 from .seqlab import SequenceModel, is_lacunary, sample
 from .spectra import Ellipsoid, ellipsoid
 
@@ -49,9 +49,10 @@ class CoverCertificate:
 
     ``psd_margin`` is the smallest eigenvalue of ``(T A1)(T A1)^T - A2 A2^T``
     divided by ``1 + max(lambda_max)`` of the two quadratic forms, so the
-    test reads ``holds ⇔ psd_margin >= -tol``.  The first ``lambda_max`` is
-    the top eigenvalue of the Gram matrix ``(T A1)(T A1)^T`` the test builds
-    anyway, the second the squared cached ``s_1(A2)``.  ``witness``/``norm``
+    test reads ``holds ⇔ psd_margin >= -PSD_TOL``.  The first
+    ``lambda_max`` is the top eigenvalue of the Gram matrix
+    ``(T A1)(T A1)^T`` the test builds anyway, the second the squared
+    cached ``s_1(A2)``.  ``witness``/``norm``
     carry the covering operator when the test succeeds; ``norm`` is the
     square root of the top eigenvalue of the smaller of ``T T^T`` and
     ``T^T T``, formed from ``T`` scaled by a power of two.
@@ -87,10 +88,9 @@ class RangeEquivalence:
 # Covering certificates and constructions
 # ----------------------------------------------------------------------
 
-def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertificate:
+def covers(t, e1: Ellipsoid, e2: Ellipsoid) -> CoverCertificate:
     """Does ``T K1 ⊇ K2``?  Deterministic PSD certificate with margin."""
     t = as_operator(t, "covering operator")
-    check_tolerance(tol)
     if t.shape != (e2.ambient_dim, e1.ambient_dim):
         raise InputError(
             f"covering operator must map dimension {e1.ambient_dim} to "
@@ -101,7 +101,7 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
         g1 = ta @ ta.T
     top2 = e2.spectrum.s(1)
     margin = psd_margin(g1, e2.gram, gram_top(g1), top2 * top2)
-    if margin < -tol:
+    if margin < -PSD_TOL:
         return CoverCertificate(False, margin)
     # a power of two scales T exactly, so T T^T cannot overflow where T can
     st, e = pow2_scaled(t)
@@ -110,19 +110,20 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid, tol: float = PSD_TOL) -> CoverCertif
 
 
 def _schmidt_pairing(s_src, s_tgt, shape, bases) -> tuple[np.ndarray, float]:
-    """Minimal-norm cover from the nonzero s-numbers ``s_src`` and ``s_tgt``
-    of a source and a target: ``C = max_n s_tgt[n]/s_src[n]`` and
-    ``D = C U_tgt U_src^T`` over the leading ``len(s_tgt)`` span-basis
+    """The minimal-norm cover ``C W`` from the nonzero s-numbers ``s_src``
+    and ``s_tgt`` of a source and a target, as the pair ``(W, C)``:
+    ``C = max_n s_tgt[n]/s_src[n]`` and the partial isometry
+    ``W = U_tgt U_src^T`` over the leading ``len(s_tgt)`` span-basis
     columns, which ``bases()`` returns as ``(U_src, U_tgt)`` once a nonzero
-    ``D`` needs them; ``shape`` is the shape of ``D``."""
+    cover needs them; ``shape`` is the shape of ``W``, zero for a zero
+    target."""
     r1, r2 = s_src.size, s_tgt.size
     if r2 > r1:
         raise NotCoverableError(f"not coverable: target rank {r2} exceeds source rank {r1}")
     if r2 == 0:
         return np.zeros(shape), 0.0
     u_src, u_tgt = bases()
-    c = float(np.max(s_tgt / s_src[:r2]))
-    return c * (u_tgt[:, :r2] @ u_src[:, :r2].T), c
+    return u_tgt[:, :r2] @ u_src[:, :r2].T, float(np.max(s_tgt / s_src[:r2]))
 
 
 def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
@@ -132,23 +133,28 @@ def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
     ``C = max_n s_n(A2)/s_n(A1)``; no covering operator of smaller norm
     exists, since any cover must satisfy ``d_n(K2) <= ||D|| d_n(K1)``.
     """
-    return _schmidt_pairing(
+    w, c = _schmidt_pairing(
         e1.spectrum.values[: e1.rank], e2.spectrum.values[: e2.rank],
         (e2.ambient_dim, e1.ambient_dim), lambda: (e1.span_basis, e2.span_basis),
     )
+    return c * w, c
 
 
 def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
     """Cover a shrunken truncation while interpolating prescribed values.
 
     ``y`` holds ``m`` orthonormal columns of the ambient space and ``n`` the
-    prescribed images of those columns: ``D y_j = n_j``, exactly when the
-    ``y_j`` are coordinate vectors and up to round-off (about ``1e-15``
-    relative) otherwise.  On the orthogonal complement, ``D`` acts as the
-    norm-one Schmidt cover from the section ``K ∩ Y⊥`` onto
-    ``rho * truncate(E, rank - m)``; exact self-covering is impossible at a
-    fixed dimension, so the achieved fraction ``rho = 1/C`` of the truncated
-    target is the reported yield.
+    prescribed images of those columns.  On the orthogonal complement, ``D``
+    acts as the norm-one Schmidt cover ``D0`` from the section ``K ∩ Y⊥``
+    onto ``rho * truncate(E, rank - m)``; exact self-covering is impossible
+    at a fixed dimension, so the achieved fraction ``rho = 1/C`` of the
+    truncated target is the reported yield.
+
+    ``D y = n`` holds exactly when the ``y_j`` are coordinate vectors.  In
+    general ``D y - n = (D0 y - n)(I - y^T y)``, so
+    ``||D y - n||_2 <= (||y||_2 + ||n||_2) ||y^T y - I||_2`` plus round-off:
+    the residual follows the orthonormality defect of ``y``, which the
+    subspace check lets reach ``ORTHO_TOL`` in each entry of ``y^T y - I``.
 
     The section's s-numbers and span basis come from one factored SVD of
     ``A Z`` (``Z`` an orthonormal basis of ``ker(Y^T A)``), and the
@@ -169,11 +175,10 @@ def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
     kernel = nullspace_basis(y.T @ e.generator, rcond=e.rcond)
     u_sec, s_sec, _ = svd(e.generator @ kernel)
     check_spectrum(s_sec, "singular spectrum")
-    d_schmidt, c = _schmidt_pairing(
+    d0, c = _schmidt_pairing(
         s_sec[: rank_from_values(s_sec, e.rcond)], e.spectrum.values[: e.rank - m],
         (amb, amb), lambda: (u_sec, e.span_basis),
     )
-    d0 = d_schmidt / c
     rho = 1.0 / c
     if m:
         # D = N Y^T + D0 (I - Y Y^T), applied as a rank-m update

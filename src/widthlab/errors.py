@@ -19,8 +19,8 @@ import numbers
 
 ORTHO_TOL = 1e-9
 
-# Default PSD slack ``tol`` of the covering and expanding certificates:
-# a certificate holds iff its scaled margin is at least ``-tol``.
+# PSD slack of the covering and expanding certificates: a certificate
+# holds iff its scaled margin is at least ``-PSD_TOL``.
 PSD_TOL = 1e-9
 
 
@@ -146,12 +146,6 @@ def check_positive(value, name: str) -> None:
     """``value`` must be a positive finite number."""
     if not (math.isfinite(value) and value > 0):
         raise InputError(f"{name} must be a positive finite number, got {value}")
-
-
-def check_tolerance(tol) -> None:
-    """``tol`` must be a finite nonnegative number."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be a finite nonnegative number, got {tol}")
 
 
 def check_integer(value, minimum: int, refusal: str) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import covering, spectra
 from ._linalg import gram_top, psd_margin
-from .errors import PSD_TOL, as_square, check_tolerance
+from .errors import PSD_TOL, as_square
 
 __all__ = ["ExpandVerdict", "is_expanding", "expanding_dual_check"]
 
@@ -24,21 +24,20 @@ __all__ = ["ExpandVerdict", "is_expanding", "expanding_dual_check"]
 class ExpandVerdict:
     """``margin`` is the smallest eigenvalue of ``T^T A^T A T - A^T A``
     scaled by ``1 + lambda_max`` of the two forms, each read off the Gram
-    matrix itself; expanding iff it clears ``-tol``."""
+    matrix itself; expanding iff it clears ``-PSD_TOL``."""
 
     expanding: bool
     margin: float
 
 
-def is_expanding(t, a, tol: float = PSD_TOL) -> ExpandVerdict:
+def is_expanding(t, a) -> ExpandVerdict:
     """Does ``T`` expand the seminorm ``x -> ||A x||``?"""
     t, a = as_square([("T", t), ("A", a)])
-    check_tolerance(tol)
     with np.errstate(over="ignore", invalid="ignore"):  # gram_top reports it
         at = a @ t
         g1, g2 = at.T @ at, a.T @ a
     margin = psd_margin(g1, g2, gram_top(g1), gram_top(g2))
-    return ExpandVerdict(margin >= -tol, margin)
+    return ExpandVerdict(margin >= -PSD_TOL, margin)
 
 
 def expanding_dual_check(t, a) -> bool:

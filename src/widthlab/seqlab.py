@@ -21,7 +21,6 @@ only a ``spectrum(file)`` model loads the matrix modules, and numpy with them.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
@@ -61,7 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW = 64          # terms examined by the windowed surrogates
-RATIO_THRESHOLD = 1e-3       # tau: consecutive-ratio threshold for surrogates
+RATIO_THRESHOLD = 1e-3       # consecutive-ratio threshold of the windowed surrogates
 MIN_TERM = 1e-300            # terms below this are refused, never flushed to 0
 
 
@@ -140,8 +139,7 @@ class Shifted(SequenceModel):
     inner: SequenceModel
 
     def __post_init__(self):
-        if not 0 <= self.k < math.inf or self.k != int(self.k):
-            raise InputError(f"shift must be a nonnegative integer, got {self.k}")
+        check_integer(self.k, 0, "shift must be a nonnegative integer, got {}")
         object.__setattr__(self, "k", int(self.k))
 
     def term(self, i: int) -> float:
@@ -396,18 +394,13 @@ def _check_double_range(values, model: SequenceModel) -> None:
         raise InputError(f"{model!r}: a term leaves the double range (0 or infinite terms refused)")
 
 
-def _is_parametric(c: _Canon) -> bool:
-    return c.kind != _SAMPLES
-
-
 # ----------------------------------------------------------------------
 # Public predicates
 # ----------------------------------------------------------------------
 
-def is_lacunary(model: SequenceModel, tau: float = RATIO_THRESHOLD,
-                window: int = DEFAULT_WINDOW) -> LacunarityVerdict:
-    """Exact for parametric families; windowed ratio scan for samples."""
-    check_positive(tau, "tau")
+def is_lacunary(model: SequenceModel) -> LacunarityVerdict:
+    """Exact for parametric families; for samples, the smallest of the
+    first ``DEFAULT_WINDOW`` consecutive ratios against ``RATIO_THRESHOLD``."""
     c = _canon(model)
     if c.kind == _GEOM:
         return LacunarityVerdict(False, c.param, True)
@@ -419,12 +412,12 @@ def is_lacunary(model: SequenceModel, tau: float = RATIO_THRESHOLD,
     if c.kind == _SUPER:
         return LacunarityVerdict(True, 0.0, True)
     vals = c.values
-    n = min(window, len(vals) - 1)
+    n = min(DEFAULT_WINDOW, len(vals) - 1)
     if n < 1:
         raise InputError("lacunarity scan needs at least two sample terms")
     ratios = [vals[i + 1] / vals[i] for i in range(n)]
     worst = min(ratios)
-    return LacunarityVerdict(worst < tau, worst, False)
+    return LacunarityVerdict(worst < RATIO_THRESHOLD, worst, False)
 
 
 def majorizes(a: SequenceModel, b: SequenceModel) -> MajorizationVerdict:
@@ -434,12 +427,7 @@ def majorizes(a: SequenceModel, b: SequenceModel) -> MajorizationVerdict:
     any finite window is trivially bounded, so the verdict holds with the
     observed C and ``exact=False``.
     """
-    ca, cb = _canon(a), _canon(b)
-    if _is_parametric(ca) and _is_parametric(cb):
-        prof = _profile(ca, cb)
-        return MajorizationVerdict(prof.bounded, prof.sup, None, True)
-    ratios = _window_ratios(a, b)
-    return MajorizationVerdict(True, float(max(ratios)), len(ratios), False)
+    return _compare(a, b, strict=False)
 
 
 def strictly_majorizes(a: SequenceModel, b: SequenceModel) -> MajorizationVerdict:
@@ -449,14 +437,19 @@ def strictly_majorizes(a: SequenceModel, b: SequenceModel) -> MajorizationVerdic
     ratio maximum over the last quarter of the window must fall below
     ``RATIO_THRESHOLD`` times the window maximum.
     """
+    return _compare(a, b, strict=True)
+
+
+def _compare(a: SequenceModel, b: SequenceModel, strict: bool) -> MajorizationVerdict:
+    """:func:`strictly_majorizes` if ``strict``, else :func:`majorizes`."""
     ca, cb = _canon(a), _canon(b)
-    if _is_parametric(ca) and _is_parametric(cb):
+    if ca.kind != _SAMPLES and cb.kind != _SAMPLES:
         prof = _profile(ca, cb)
-        return MajorizationVerdict(prof.to_zero, prof.sup, None, True)
+        return MajorizationVerdict(prof.to_zero if strict else prof.bounded, prof.sup, None, True)
     ratios = _window_ratios(a, b)
     top = max(ratios)
-    holds = bool(max(ratios[-max(1, len(ratios) // 4):]) <= RATIO_THRESHOLD * top)
-    return MajorizationVerdict(holds, float(top), len(ratios), False)
+    holds = not strict or max(ratios[-max(1, len(ratios) // 4):]) <= RATIO_THRESHOLD * top
+    return MajorizationVerdict(bool(holds), float(top), len(ratios), False)
 
 
 def shift_search(a: SequenceModel, b: SequenceModel, k_max: int,
@@ -470,8 +463,7 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int,
     surrogate, stopping at the first that fails.
     """
     check_integer(k_max, 0, "shift budget must be nonnegative, got {}")
-    compare = strictly_majorizes if strict else majorizes
-    base = compare(a, b)
+    base = _compare(a, b, strict)
     if not base.holds:
         return ShiftSearch(base, None, k_max, False)
     ca, cb = _canon(a), _canon(b)
@@ -483,7 +475,7 @@ def shift_search(a: SequenceModel, b: SequenceModel, k_max: int,
         return ShiftSearch(base, k, k_max, same)
     for k in range(1, k_max + 1):
         try:
-            holds = compare(Shifted(k, a), b).holds
+            holds = _compare(Shifted(k, a), b, strict).holds
         except InputError:
             # shift exhausted a finite samples model: every testable shift held
             return ShiftSearch(base, None, k - 1, same)
@@ -583,15 +575,12 @@ def is_weakly_full(model: SequenceModel, closure_codim) -> WeakFullnessVerdict:
     non-lacunary: not).
     """
     lac = is_lacunary(model)
-    if isinstance(closure_codim, numbers.Integral) and not isinstance(closure_codim, bool):
-        if closure_codim < 0:
-            raise InputError(f"codimension must be nonnegative, got {closure_codim}")
-        return WeakFullnessVerdict(True, CASE_FINITE_CODIM, lac)
-    if isinstance(closure_codim, float) and math.isinf(closure_codim) and closure_codim > 0:
+    if isinstance(closure_codim, float) and closure_codim == math.inf:
         if lac.lacunary:
             return WeakFullnessVerdict(True, CASE_LACUNARY, lac)
         return WeakFullnessVerdict(False, CASE_NON_LACUNARY, lac)
-    raise InputError(f"codimension must be a nonnegative integer or infinity, got {closure_codim!r}")
+    check_integer(closure_codim, 0, "codimension must be nonnegative, got {}")
+    return WeakFullnessVerdict(True, CASE_FINITE_CODIM, lac)
 
 
 def classify_WE(model: SequenceModel, kernel_trivial: bool) -> ClassificationVerdict:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import RANK_RCOND, nullspace_basis, rank_from_values, svd
-from .errors import InputError, as_columns, as_operator, as_subspace, check_positive
-from .errors import check_no_overflow, check_spectrum, check_tolerance, frozen
+from .errors import InputError, as_columns, as_operator, as_subspace, check_integer, check_positive
+from .errors import check_no_overflow, check_spectrum, frozen
 
 __all__ = [
     "RANK_RCOND",
@@ -35,7 +35,7 @@ __all__ = [
     "ellipsoid_membership",
 ]
 
-MEMBERSHIP_TOL = 1e-9  # default slack of ellipsoid_membership
+MEMBERSHIP_TOL = 1e-9  # slack of ellipsoid_membership
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +52,10 @@ class SingularSpectrum:
     def __post_init__(self):
         object.__setattr__(self, "values", frozen(np.asarray(self.values, dtype=float).reshape(-1)))
         check_spectrum(self.values, "singular spectrum")
-        if not 0 <= self.rank <= self.values.size:
-            raise InputError(f"rank {self.rank} outside [0, {self.values.size}]")
+        refusal = f"rank {{}} outside [0, {self.values.size}]"
+        check_integer(self.rank, 0, refusal)
+        if self.rank > self.values.size:
+            raise InputError(refusal.format(self.rank))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -202,8 +204,10 @@ def truncate_ellipsoid(e: Ellipsoid, r: int) -> Ellipsoid:
     leading singular pairs are the truncation's bases, so reading them
     makes no SVD.
     """
-    if not 1 <= r <= e.rank:
-        raise InputError(f"truncation rank {r} outside [1, {e.rank}]")
+    refusal = f"truncation rank {{}} outside [1, {e.rank}]"
+    check_integer(r, 1, refusal)
+    if r > e.rank:
+        raise InputError(refusal.format(r))
     u, right = e.span_basis[:, :r], e.right_basis[:, :r]
     sv = e.spectrum.values[:r]
     t = Ellipsoid(u @ (sv[:, None] * right.T), SingularSpectrum(values=sv, rank=r), e.rcond)
@@ -221,21 +225,21 @@ def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
     return Ellipsoid(generator, SingularSpectrum(values=values, rank=e.rank), e.rcond)
 
 
-def ellipsoid_membership(e: Ellipsoid, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff ``y`` lies in the ellipsoid (within ``tol``).
+def ellipsoid_membership(e: Ellipsoid, y) -> bool:
+    """True iff ``y`` lies in the ellipsoid (within ``MEMBERSHIP_TOL``).
 
-    Checks that ``y`` sits in the column space of the generator and that the
-    minimum-norm preimage has norm at most ``1 + tol``.
+    Checks that ``y`` sits in the column space of the generator, to
+    ``MEMBERSHIP_TOL`` relative to ``||y||``, and that the minimum-norm
+    preimage has norm at most ``1 + MEMBERSHIP_TOL``.
     """
-    check_tolerance(tol)
     v = as_columns([y], e.ambient_dim, "point")[:, 0]
     norm_y = float(np.linalg.norm(v))
     if norm_y == 0.0:
         return True
     coords = e.span_basis.T @ v
     residual = float(np.linalg.norm(v - e.span_basis @ coords))
-    if residual > tol * norm_y:
+    if residual > MEMBERSHIP_TOL * norm_y:
         return False
     sv = e.spectrum.values[: e.rank]
     preimage_norm = float(np.linalg.norm(coords / sv)) if e.rank else 0.0
-    return preimage_norm <= 1.0 + tol
+    return preimage_norm <= 1.0 + MEMBERSHIP_TOL

@@ -5,6 +5,13 @@ each, so that two trees can be compared output for output.
 
 writes, for each argv, its exit code, stdout, stderr and the bytes of any
 file it wrote, from an in-process ``widthlab.cli.run`` with ``COLUMNS=80``.
+
+    python tests/argv_outputs.py --compare A.jsonl B.jsonl
+
+matches the records of two such files by argv, prints how many are
+identical, how many differ and how many exist in one file only, names each
+differing argv with its differing fields and each unmatched argv, and exits
+1 on any difference.
 The inputs live in a temporary directory whose path each record spells
 ``<inputs>``, so runs against two ``src`` trees on ``PYTHONPATH`` give
 records that differ only where the CLI does.
@@ -15,6 +22,7 @@ in each slot with the other slots at their first candidate, all with and
 without ``--json``, then ``--help`` for the top level and each subcommand.
 """
 
+import collections
 import contextlib
 import io
 import itertools
@@ -83,5 +91,44 @@ def main(path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def keyed(path: str) -> dict:
+    """The records of a file keyed by ``(argv, i)`` for the ``i``-th record
+    of that argv, so a repeated argv is matched repeat by repeat."""
+    out, seen = {}, collections.Counter()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            argv = tuple(rec["argv"])
+            out[argv, seen[argv]] = rec
+            seen[argv] += 1
+    return out
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Report how the records of two files differ; 1 if they do, else 0."""
+    a, b = keyed(path_a), keyed(path_b)
+
+    def label(key) -> str:
+        argv, i = key
+        return json.dumps(list(argv)) + (f" (repeat {i})" if i else "")
+
+    shared = [k for k in a if k in b]
+    differ = [k for k in shared if a[k] != b[k]]
+    only = [(path_a, [k for k in a if k not in b]), (path_b, [k for k in b if k not in a])]
+    print(f"identical: {len(shared) - len(differ)}, differing: {len(differ)}, "
+          + ", ".join(f"only in {path}: {len(keys)}" for path, keys in only))
+    for k in differ:
+        fields = sorted(f for f in a[k].keys() | b[k].keys() if a[k].get(f) != b[k].get(f))
+        print(f"differs: {label(k)}: {', '.join(fields)}")
+    for path, keys in only:
+        for k in keys:
+            print(f"only in {path}: {label(k)}")
+    return 1 if differ or any(keys for _, keys in only) else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit(__doc__)
     main(sys.argv[1])

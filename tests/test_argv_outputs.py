@@ -1,9 +1,10 @@
 """``tests/argv_outputs.py``, the recorder of the CLI's output over the
-contract table, run for the ``rigid`` subcommand alone."""
+contract table, run for the ``rigid`` subcommand alone, and its compare
+mode on two tiny record files."""
 
 import json
 
-from argv_outputs import records
+from argv_outputs import compare, records
 
 
 def test_rigid_records(tmp_path):
@@ -22,3 +23,28 @@ def test_rigid_records(tmp_path):
     assert json.loads(good_json["stdout"])["identity_only"] is True
     assert recs[-1]["argv"] == ["rigid", "--help"] and recs[-1]["code"] == 0
     assert recs[-1]["stdout"].startswith("usage: widthlab rigid")
+
+
+def write_records(path, recs):
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return str(path)
+
+
+def test_compare(tmp_path, capsys):
+    rec = {"argv": ["widths", "A.mat"], "code": 0, "stdout": "s\n", "stderr": "", "files": {}}
+    recs = [rec, {**rec, "argv": ["factor"]}, {**rec, "argv": ["rigid"]}, rec]
+    a = write_records(tmp_path / "a.jsonl", recs)
+    assert compare(a, a) == 0
+    assert capsys.readouterr().out == (
+        f"identical: 4, differing: 0, only in {a}: 0, only in {a}: 0\n")
+    # the repeat of widths now differs in two fields; rigid is gone, range-equiv new
+    b = write_records(tmp_path / "b.jsonl", [
+        rec, {**rec, "argv": ["factor"]}, {**rec, "argv": ["range-equiv"]},
+        {**rec, "code": 1, "stderr": "error: x\n"}])
+    assert compare(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"identical: 2, differing: 1, only in {a}: 1, only in {b}: 1",
+        'differs: ["widths", "A.mat"] (repeat 1): code, stderr',
+        f'only in {a}: ["rigid"]',
+        f'only in {b}: ["range-equiv"]',
+    ]

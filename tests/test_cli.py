@@ -297,17 +297,11 @@ class TestErrorPaths:
         assert err == f"error: {path}: n must be an integer, alphas and betas arrays of numbers\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["expanding", "--t", "@T.mat", "--a", "@A.mat", "--tol", "nan"],
-         "tol must be a finite nonnegative number, got nan"),
-        (["cover-test", "--t", "@T.mat", "--e1", "@A.mat", "--e2", "@A.mat", "--tol", "nan"],
-         "tol must be a finite nonnegative number, got nan"),
         (["dichotomy", "--model", "geom(0.5)", "--m", "1", "--dims", "4", "--seed", "-1"],
          "seed must be a nonnegative integer, got -1"),
         (["match-inv", "--xs", "@Y.mat", "--xs-target", "@Y.mat", "--ys", "@Y.mat",
           "--ys-target", "@Y.mat", "--eps", "1e-3", "--seed", "-1"],
          "seed must be a nonnegative integer, got -1"),
-        (["classify-seq", "--model", "samples(1,1e-5,1e-6)", "--tau", "nan"],
-         "tau must be a positive finite number, got nan"),
     ])
     def test_bad_numeric_value_is_input_error(self, workdir, argv, message, capsys):
         code, out, err = invoke(capsys, [workdir / a[1:] if a.startswith("@") else a for a in argv])

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from widthlab import (InputError, RigidCompactSpec, covers, ellipsoid, kolmogorov_widths,
-                      range_equiv, singular_spectrum)
+from widthlab import (InputError, RigidCompactSpec, Samples, covers, ellipsoid, kolmogorov_widths,
+                      majorizes, range_equiv, schmidt_cover, singular_spectrum)
 
 betas_in_range = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 
@@ -195,3 +195,22 @@ def test_range_equiv_of_a_twist_gives_its_extreme_singular_values(case):
     eq = range_equiv(a, a @ r)
     assert eq.same_range
     assert abs(eq.c - lo) <= 1e-10 * lo and abs(eq.C - hi) <= 1e-10 * hi
+
+
+# positive terms from 1e-100 to 1e101, nonincreasing once sorted; 80 terms
+# reach past the 64-term window
+positive_term = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-100, 100))
+samples_terms = st.lists(positive_term, min_size=1, max_size=80).map(lambda v: tuple(sorted(v, reverse=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples_terms, samples_terms)
+def test_windowed_majorization_constant_is_the_schmidt_norm(a, b):
+    # the width sequence of a diagonal generator is its sorted diagonal, and
+    # the monomial SVD reads it exactly, so the Schmidt norm max b_n / a_n
+    # over the window is the windowed constant bit for bit
+    v = majorizes(Samples(a), Samples(b))
+    w = v.window
+    assert (v.holds, v.exact, w) == (True, False, min(64, len(a), len(b)))
+    _, c = schmidt_cover(ellipsoid(np.diag(a[:w]), rcond=0.0), ellipsoid(np.diag(b[:w]), rcond=0.0))
+    assert v.constant.hex() == c.hex()

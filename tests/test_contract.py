@@ -20,10 +20,9 @@ from test_cli import SUBCOMMANDS
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "widthlab"
 
 # Hostile option values; the huge integers only go to options that do not
-# size the work (a large --dims, --k-max or --window is valid, just slow).
+# size the work (a large --dims or --k-max is valid, just slow).
 HOSTILE = ["-1", "nan", "inf", "0", "", "-inf", "1e400", "-0.5", "x", "-nan", str(10 ** 30)]
-SIZED = {"--dims": ["8,16", "64", "3,64", "5"], "--k-max": ["16", "1000", "1"],
-         "--window": ["64", "1000", "1"]}
+SIZED = {"--dims": ["8,16", "64", "3,64", "5"], "--k-max": ["16", "1000", "1"]}
 
 
 def write_inputs(d: Path) -> Path:
@@ -56,9 +55,8 @@ def command_table(d: Path) -> dict:
     return {
         "widths": ([mat], {}),
         "section": ([mat, mat[4:] + mat[:4]], {}),
-        "classify-seq": ([], {"--model": model[1:] + model[:1], "--tau": ["1e-3"],
-                              "--window": None}),
-        "cover-test": ([], {"--t": mat[1:] + mat[:1], "--e1": mat, "--e2": mat, "--tol": ["1e-9"]}),
+        "classify-seq": ([], {"--model": model[1:] + model[:1]}),
+        "cover-test": ([], {"--t": mat[1:] + mat[:1], "--e1": mat, "--e2": mat}),
         "cover-make": ([], {"--e1": mat, "--e2": mat}),
         "classify-wg": ([], wg),
         "classify-wcg": ([], wg),
@@ -71,7 +69,7 @@ def command_table(d: Path) -> dict:
         "match-inv": ([], {"--xs": mat[5:], "--xs-target": mat[5:], "--ys": mat[6:] + mat[5:6],
                            "--ys-target": mat[6:], "--eps": ["1e-3"], "--seed": ["0"]}),
         "separate": ([mat, mat[1:] + mat[:1]], {}),
-        "expanding": ([], {"--t": mat[1:] + mat[:1], "--a": mat, "--tol": ["1e-9"]}),
+        "expanding": ([], {"--t": mat[1:] + mat[:1], "--a": mat}),
         "classify-we": ([], {"--model": model}),
         "rigid": ([], {"--spec": spec, "--norm-bound": ["10"]}),
     }

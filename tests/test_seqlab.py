@@ -68,6 +68,11 @@ class TestSampling:
         with pytest.raises(InputError):
             Shifted(-1, Geometric(0.5))
 
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_shift_must_be_an_integer(self, k):
+        with pytest.raises(InputError, match=r"shift must be a nonnegative integer, got .* \(not an"):
+            Shifted(k, Geometric(0.5))
+
     @pytest.mark.parametrize("build", [Power, SuperGeometric, lambda k: Shifted(k, Geometric(0.5))],
                              ids=["pow", "supergeom", "shift"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -104,18 +109,13 @@ class TestLacunarity:
         assert v.witness_ratio == witness > 0.0
 
     def test_samples_window_surrogate(self):
-        v = is_lacunary(Samples((1.0, 0.5, 1e-5, 5e-6)), tau=1e-3)
+        v = is_lacunary(Samples((1.0, 0.5, 1e-5, 5e-6)))
         assert v.lacunary and not v.exact
         assert v.witness_ratio == pytest.approx(2e-5)
 
     def test_wrappers_inherit(self):
         assert is_lacunary(Scaled(7.0, Shifted(2, SuperGeometric(2.0)))).lacunary
         assert not is_lacunary(Scaled(7.0, Shifted(2, Geometric(0.5)))).lacunary
-
-    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1e-3])
-    def test_tau_must_be_positive_and_finite(self, tau):
-        with pytest.raises(InputError, match="tau must be a positive finite number"):
-            is_lacunary(Samples((1.0, 1e-5, 1e-6)), tau=tau)
 
 
 class TestMajorization:

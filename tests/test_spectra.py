@@ -51,6 +51,11 @@ class TestSingularSpectrum:
             s1 = singular_spectrum(u @ a @ v).values
             np.testing.assert_allclose(s1, s0, rtol=1e-10, atol=1e-10 * s0[0])
 
+    @pytest.mark.parametrize("rank", [1.5, True, -1, 3])
+    def test_rank_must_be_an_integer_within_the_length(self, rank):
+        with pytest.raises(InputError, match=r"rank .* outside \[0, 2\]"):
+            SingularSpectrum(values=np.array([2.0, 1.0]), rank=rank)
+
     def test_rank_cutoff_is_relative(self):
         spec = singular_spectrum(np.diag([1.0, 1e-13]))
         assert spec.rank == 1
@@ -249,6 +254,12 @@ class TestTruncation:
         with pytest.raises(InputError, match="truncation rank"):
             truncate_ellipsoid(e, 4)
 
+    @pytest.mark.parametrize("r", [2.0, 1.5, True])
+    def test_rank_must_be_an_integer(self, r):
+        e = ellipsoid(np.diag([3.0, 2.0, 1.0]))
+        with pytest.raises(InputError, match=r"truncation rank .* \(not an integer\) outside \[1, 3\]"):
+            truncate_ellipsoid(e, r)
+
 
 class TestMembership:
     def test_boundary_point(self):
@@ -272,11 +283,6 @@ class TestMembership:
         e = ellipsoid(np.diag([1.0, 0.0]))
         assert not ellipsoid_membership(e, [0.0, 0.5])
         assert ellipsoid_membership(e, [0.5, 0.0])
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        with pytest.raises(InputError, match="tol must be a finite nonnegative number"):
-            ellipsoid_membership(ellipsoid(np.diag([2.0, 1.0])), [1.0, 0.0], tol=tol)
 
 
 class TestHelpers:
