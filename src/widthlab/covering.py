@@ -3,9 +3,11 @@
 The basic decision ``T K1 ⊇ K2`` for ellipsoids ``K_i = A_i(B)`` reduces to
 a positive-semidefinite test: the image ``M(B)`` contains ``N(B)`` exactly
 when ``N N^T ≼ M M^T`` (a contraction factors one generator through the
-other).  Everything else here is built on that certificate: minimal-norm
-Schmidt covers, interpolation-constrained covers, the dimension-tower
-dichotomy experiment and operator-range equivalence.  The classifications
+other).  The constructions pair singular values instead: minimal-norm
+Schmidt covers, interpolation-constrained covers and the dimension-tower
+dichotomy experiment.  Operator-range equivalence reads its two-sided
+scaling constants off one SVD of the second generator in the first one's
+singular basis (Douglas' range-inclusion lemma).  The classifications
 of covering closures and weak fullness read only the width sequences; they
 live in :mod:`seqlab`.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
 from ._linalg import rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
-from .errors import as_operator, as_square, as_subspace, check_integer, check_spectrum
+from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow, check_spectrum
 from .seqlab import SequenceModel, is_lacunary, sample
 from .spectra import Ellipsoid, ellipsoid
 
@@ -52,15 +54,13 @@ class CoverCertificate:
     test reads ``holds ⇔ psd_margin >= -PSD_TOL``.  The first
     ``lambda_max`` is the top eigenvalue of the Gram matrix
     ``(T A1)(T A1)^T`` the test builds anyway, the second the squared
-    cached ``s_1(A2)``.  ``witness``/``norm``
-    carry the covering operator when the test succeeds; ``norm`` is the
-    square root of the top eigenvalue of the smaller of ``T T^T`` and
-    ``T^T T``, formed from ``T`` scaled by a power of two.
+    cached ``s_1(A2)``.  ``norm`` is the covering operator's norm when the
+    test succeeds: the square root of the top eigenvalue of the smaller of
+    ``T T^T`` and ``T^T T``, formed from ``T`` scaled by a power of two.
     """
 
     holds: bool
     psd_margin: float
-    witness: np.ndarray | None = None
     norm: float | None = None
 
 
@@ -106,7 +106,10 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid) -> CoverCertificate:
     # a power of two scales T exactly, so T T^T cannot overflow where T can
     st, e = pow2_scaled(t)
     tt = st @ st.T if t.shape[0] <= t.shape[1] else st.T @ st
-    return CoverCertificate(True, margin, witness=t, norm=float(np.ldexp(math.sqrt(gram_top(tt)), e)))
+    with np.errstate(over="ignore"):  # reported just below
+        norm = float(np.ldexp(math.sqrt(gram_top(tt)), e))
+    check_no_overflow(norm, "singular values of the covering operator")
+    return CoverCertificate(True, margin, norm=norm)
 
 
 def _schmidt_pairing(s_src, s_tgt, shape, bases) -> tuple[np.ndarray, float]:
@@ -284,11 +287,9 @@ RANGE_TOL = 1e-9
 def range_equiv(a1, a2) -> RangeEquivalence:
     """Compare column spaces; on success return the extreme two-sided
     scaling constants ``c K1 ⊆ K2 ⊆ C K1`` (generalized eigenvalues on the
-    common range), each verified by the PSD certificate.
+    common range).
 
-    The certificates compare the Gram matrices ``A1 A1^T`` and ``A2 A2^T``
-    directly, with the cached ``s_1`` of each generator as its norm.  At
-    full rank both ranges are the whole space; below it the ranges agree
+    At full rank both ranges are the whole space; below it the ranges agree
     when ``||P1 - P2||`` of the two range projectors stays within
     ``RANGE_TOL``.  Between ranges of one dimension that norm is
     ``||(I - P1) P2||``, the sine of the largest principal angle (Golub &
@@ -316,13 +317,4 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     # eigenvalues of the two forms are the squared singular values of
     # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
     sv = svd((q1.T @ a2) / s1[:r, None], compute_uv=False)
-    c, cc = float(sv[-1]), float(sv[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # psd_margin reports it
-        g1, g2 = a1 @ a1.T, e2.gram
-    top1, top2 = float(s1[0]), e2.spectrum.s(1)
-    n1, n2 = top1 * top1, top2 * top2
-    # c K1 ⊆ K2 reads c² G1 ≼ G2, and K2 ⊆ C K1 reads G2 ≼ C² G1
-    if psd_margin(g2, (c * c) * g1, n2, (c * c) * n1) < -PSD_TOL or \
-       psd_margin((cc * cc) * g1, g2, (cc * cc) * n1, n2) < -PSD_TOL:
-        raise WidthlabError("internal: extreme scaling constants failed the PSD certificate")
-    return RangeEquivalence(True, c, cc)
+    return RangeEquivalence(True, float(sv[-1]), float(sv[0]))

@@ -98,8 +98,10 @@ class Ellipsoid:
     right singular vectors, so
     ``generator ~= span_basis @ diag(s_1..s_r) @ right_basis.T``.  Both come
     from one factored SVD, cached as one pair; ``gram`` caches
-    ``generator @ generator.T``.  Each cache is stored once, by
-    ``dict.setdefault``, so concurrent first reads see the same arrays.
+    ``generator @ generator.T`` for its one reader, the covering
+    certificate :func:`~widthlab.covering.covers`.  Each cache is stored
+    once, by ``dict.setdefault``, so concurrent first reads see the same
+    arrays.
     """
 
     generator: np.ndarray
@@ -128,7 +130,7 @@ class Ellipsoid:
     @property
     def gram(self) -> np.ndarray:
         """``generator @ generator.T``; entries that overflow are left for
-        the certificate that reads them to report."""
+        :func:`~widthlab.covering.covers` to report."""
         g = self.__dict__.get("_gram")
         if g is None:
             with np.errstate(over="ignore", invalid="ignore"):

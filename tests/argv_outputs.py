@@ -4,7 +4,8 @@ each, so that two trees can be compared output for output.
     python tests/argv_outputs.py OUT.jsonl
 
 writes, for each argv, its exit code, stdout, stderr and the bytes of any
-file it wrote, from an in-process ``widthlab.cli.run`` with ``COLUMNS=80``.
+file it wrote, from an in-process ``widthlab.cli.run`` with ``COLUMNS=80``
+and every ``RuntimeWarning`` raised as an error.
 
     python tests/argv_outputs.py --compare A.jsonl B.jsonl
 
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 os.environ["COLUMNS"] = "80"  # argparse wraps help text to this width
@@ -63,7 +65,10 @@ def record(argv: list, d: Path) -> dict:
     """Exit code, output and written files of one in-process run in ``d``."""
     before = set(d.iterdir())
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # a leaked warning is an internal error (exit 2) in every record that
+        # leaks it, as under pytest, not printed once for the first of them
+        warnings.simplefilter("error", RuntimeWarning)
         code = run(argv)
     written = {}
     for path in sorted(set(d.iterdir()) - before):

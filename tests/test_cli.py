@@ -332,8 +332,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, message", [
         (["cover-test", "--t", "@N.mat", "--e1", "@H.mat", "--e2", "@T.mat"],
          "Gram matrix entries overflow double precision; rescale the input"),
-        (["range-equiv", "@H.mat", "@H.mat"],
-         "Gram matrix entries overflow double precision; rescale the input"),
         (["widths", "@M.mat"], "singular values overflow double precision; rescale the input"),
         (["expanding", "--t", "@T.mat", "--a", "@M.mat"],
          "Gram matrix entries overflow double precision; rescale the input"),
@@ -439,18 +437,26 @@ def test_python_m_widthlab(tmp_path):
      "Gram matrix entries overflow double precision; rescale the input"),
     (["cover-test", "--t", "M.mat", "--e1", "T.mat", "--e2", "T.mat"],
      "Gram matrix entries overflow double precision; rescale the input"),
-    (["range-equiv", "H.mat", "H.mat"],
-     "Gram matrix entries overflow double precision; rescale the input"),
     (["expanding", "--t", "T.mat", "--a", "M.mat", "--dual-check"],
      "Gram matrix entries overflow double precision; rescale the input"),
+    (["section", "A.mat", "H.mat"], "section subspace: columns are not orthonormal (tolerance 1e-09)"),
+    (["section", "A.mat", "M.mat"], "section subspace: columns are not orthonormal (tolerance 1e-09)"),
 ])
 def test_overflow_error_is_the_only_stderr_line(tmp_path, argv, message):
+    write_matrix(tmp_path / "A.mat", np.diag([3.0, 2.0, 1.0]))
     write_matrix(tmp_path / "H.mat", np.diag([1e300, 1.0, 1e-300]))
     write_matrix(tmp_path / "N.mat", -np.eye(3))
     write_matrix(tmp_path / "M.mat", np.full((3, 3), 1e308))
     write_matrix(tmp_path / "T.mat", 2 * np.eye(3))
     proc = run_child([sys.executable, "-m", "widthlab", *argv], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_range_equiv_when_the_gram_matrix_overflows(tmp_path):
+    # H H^T overflows, but the constants come from the generators alone
+    write_matrix(tmp_path / "H.mat", np.diag([1e300, 1.0, 1e-300]))
+    proc = run_child([sys.executable, "-m", "widthlab", "range-equiv", "H.mat", "H.mat"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "same range: True\nc: 1  C: 1\n", "")
 
 
 def test_factor_residual_when_the_norm_of_b_overflows(tmp_path):

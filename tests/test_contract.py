@@ -29,7 +29,9 @@ def write_inputs(d: Path) -> Path:
     """The matrix files and rigidity specs that ``command_table`` names, in ``d``."""
     mats = {"A": np.diag([3.0, 2.0, 1.0]), "T": 2 * np.eye(3), "Z": np.zeros((3, 3)),
             "R": np.arange(6.0).reshape(2, 3), "Y": np.array([[1.0, 0.0, 0.0]]).T,
-            "X1": np.array([[1.0, 0.0, 0.0, 0.0]]), "X2": np.array([[0.0, 1.0, 0.0, 0.0]])}
+            "X1": np.array([[1.0, 0.0, 0.0, 0.0]]), "X2": np.array([[0.0, 1.0, 0.0, 0.0]]),
+            # at the overflow edge: H H^T and M M^T overflow, M's s-numbers too
+            "H": np.diag([1e300, 1.0, 1e-300]), "M": np.full((3, 3), 1e308)}
     for name, m in mats.items():
         write_matrix(d / f"{name}.mat", m)
     specs = {"good": {"n": 3, "alphas": [1.0, 1e-1, 1e-3], "betas": [0.6, 0.7, 0.8]},
@@ -47,7 +49,7 @@ def files(tmp_path_factory):
 def command_table(d: Path) -> dict:
     """Per subcommand: positional candidates, then option -> candidate values
     (the first candidate is valid)."""
-    mat = [str(d / f"{n}.mat") for n in ("A", "T", "Z", "R", "Y", "X1", "X2")]
+    mat = [str(d / f"{n}.mat") for n in ("A", "T", "Z", "R", "Y", "X1", "X2", "H", "M")]
     spec = [str(d / "good.json"), str(d / "short.json")]
     model = ["geom(0.5)", "samples(1,1e-5,1e-6)", "supergeom(2)", "pow(1)", "samples(1,0.5)",
              "shift(1e400, geom(0.5))", "pow(1e400)", "supergeom(1e400)"]
