@@ -3,13 +3,12 @@
 The basic decision ``T K1 ⊇ K2`` for ellipsoids ``K_i = A_i(B)`` reduces to
 a positive-semidefinite test: the image ``M(B)`` contains ``N(B)`` exactly
 when ``N N^T ≼ M M^T`` (a contraction factors one generator through the
-other).  The constructions pair singular values instead: minimal-norm
-Schmidt covers, interpolation-constrained covers and the dimension-tower
-dichotomy experiment.  Operator-range equivalence reads its two-sided
-scaling constants off one SVD of the second generator in the first one's
-singular basis (Douglas' range-inclusion lemma).  The classifications
-of covering closures and weak fullness read only the width sequences; they
-live in :mod:`seqlab`.
+other).  Schmidt covers, interpolation-constrained covers and the
+dimension-tower dichotomy experiment pair singular values instead;
+operator-range equivalence reads its two-sided scaling constants off one
+SVD of the second generator in the first one's singular basis (Douglas'
+range-inclusion lemma).  Covering closures and weak fullness read only the
+width sequences, in :mod:`seqlab`.
 """
 
 from __future__ import annotations
@@ -316,5 +315,10 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
     # eigenvalues of the two forms are the squared singular values of
     # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
-    sv = svd((q1.T @ a2) / s1[:r, None], compute_uv=False)
+    with np.errstate(over="ignore"):  # reported just below
+        quotient = (q1.T @ a2) / s1[:r, None]
+    check_no_overflow(quotient, "scaling constants")
+    sv = svd(quotient, compute_uv=False)
+    if sv[-1] == 0:  # the quotient of two rank-r generators has rank r
+        raise InputError("scaling constants underflow double precision; rescale the input")
     return RangeEquivalence(True, float(sv[-1]), float(sv[0]))

@@ -116,8 +116,7 @@ def as_subspace(y, dim: int, name: str) -> np.ndarray:
     q = np.zeros((dim, 0)) if y is None else np.asarray(y, dtype=float)
     if q.ndim != 2 or q.shape[0] != dim:
         raise InputError(f"{name}: expected shape ({dim}, m), got {q.shape}")
-    # a non-finite entry, or one whose square overflows, makes the Gram
-    # matrix non-finite, which fails `<=`
+    # a Gram matrix made non-finite by an entry or by overflow fails `<=`
     with np.errstate(over="ignore", invalid="ignore"):
         if q.shape[1] and not np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= ORTHO_TOL:
             if not np.all(np.isfinite(q)):

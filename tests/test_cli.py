@@ -441,9 +441,13 @@ def test_python_m_widthlab(tmp_path):
      "Gram matrix entries overflow double precision; rescale the input"),
     (["section", "A.mat", "H.mat"], "section subspace: columns are not orthonormal (tolerance 1e-09)"),
     (["section", "A.mat", "M.mat"], "section subspace: columns are not orthonormal (tolerance 1e-09)"),
+    (["range-equiv", "Big.mat", "Small.mat"], "scaling constants underflow double precision; rescale the input"),
+    (["range-equiv", "Small.mat", "Big.mat"], "scaling constants overflow double precision; rescale the input"),
 ])
 def test_overflow_error_is_the_only_stderr_line(tmp_path, argv, message):
     write_matrix(tmp_path / "A.mat", np.diag([3.0, 2.0, 1.0]))
+    write_matrix(tmp_path / "Big.mat", np.array([[1e300]]))
+    write_matrix(tmp_path / "Small.mat", np.array([[1e-300]]))
     write_matrix(tmp_path / "H.mat", np.diag([1e300, 1.0, 1e-300]))
     write_matrix(tmp_path / "N.mat", -np.eye(3))
     write_matrix(tmp_path / "M.mat", np.full((3, 3), 1e308))

@@ -673,6 +673,17 @@ class TestRangeEquivalence:
         assert range_equiv(a, a) == RangeEquivalence(True, 1.0, 1.0)
         assert range_equiv(a, 2 * a) == RangeEquivalence(True, 2.0, 2.0)
 
+    @pytest.mark.parametrize("a1, a2, match", [
+        (1e300, 1e-300, "scaling constants underflow double precision"),
+        (1e150, 1e-180, "scaling constants underflow double precision"),
+        (1e-300, 1e300, "scaling constants overflow double precision"),
+    ])
+    def test_constants_outside_the_double_range_are_refused(self, a1, a2, match):
+        # c = C = a2 / a1 is 1e-600, 1e-330 or 1e600: neither 0 (K2 ⊆ {0})
+        # nor inf is an answer
+        with pytest.raises(InputError, match=match):
+            range_equiv([[a1]], [[a2]])
+
 
 class TestWeakFullness:
     def test_finite_codimension(self):
