@@ -7,7 +7,7 @@ report whose reals are decimal strings with 17 significant digits, making
 output byte-identical across runs for identical argv.
 
 Exit codes: 0 when a verdict was produced (even a negative one), 1 on input
-errors, 2 on internal errors.
+errors and on a standard output closed by its reader, 2 on internal errors.
 
 Each handler calls the library through its module (``covering.covers``),
 and the package loads a module on its first use, so a command loads only
@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -211,7 +212,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--ys", required=True, help="constraint vectors for V^-1, as matrix columns")
     p.add_argument("--ys-target", required=True, help="target vectors for V^-1, as matrix columns")
     p.add_argument("--eps", required=True, type=float, help="constraint tolerance")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--out", help="write V to this matrix file")
 
     p = cmd("separate", "projection keeping a family of operators independent in trace duality", _separate)
@@ -333,7 +333,7 @@ def _factor(args) -> None:
 def _match_inv(args) -> None:
     xs, xs_target, ys, ys_target = (matrixio.read_matrix(path).T for path in
                                     (args.xs, args.xs_target, args.ys, args.ys_target))
-    cert = equations.match_invertible(xs, xs_target, ys, ys_target, eps=args.eps, seed=args.seed)
+    cert = equations.match_invertible(xs, xs_target, ys, ys_target, eps=args.eps)
     if args.out:
         matrixio.write_matrix(args.out, cert.operator)
     _emit(args, cert,
@@ -381,11 +381,18 @@ def run(argv) -> int:
     """Dispatch one command; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+            args.handler(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # nobody reads the output; what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, NotCoverableError, UnsolvableError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,15 @@ package module but :mod:`errors`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from ._linalg import extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, rank, rank_from_values, svd
+from ._linalg import nullspace_basis, pow2_scaled, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
-from .errors import as_columns, as_operator, as_square, check_integer, check_no_overflow, check_positive, frozen
+from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, frozen
 
 __all__ = [
     "SolvabilityVerdict",
@@ -158,35 +159,30 @@ def factor_pair(b) -> SolutionPair:
     return SolutionPair(x, y, _relative_residual(b, x, y))
 
 
-def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
+def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray) -> np.ndarray:
     """Unit vector orthogonal to the given columns, sign-aligned with
     ``align_to`` so adding it can never cancel the existing component.
 
-    It is a seeded Gaussian combination of the orthonormal kernel basis of
-    ``span_cols^T``, which has a column whenever the span is not the whole
-    space, so one draw always succeeds.
+    It is the first column of the kernel basis of ``span_cols^T``, which has
+    one whenever the span is not the whole space.  Any such direction serves:
+    ``t + c r`` with ``c > 0``, ``t . r >= 0`` has a part ``>= c`` off the span.
     """
-    kernel = nullspace_basis(span_cols.T)
-    c = rng.normal(size=kernel.shape[1])
-    v = kernel @ (c / np.linalg.norm(c))
+    v = nullspace_basis(span_cols.T)[:, 0]
     return -v if float(align_to @ v) < 0 else v
 
 
-def match_invertible(xs, xs_target, ys, ys_target, eps: float,
-                     seed: int = 0) -> MatchCertificate:
+def match_invertible(xs, xs_target, ys, ys_target, eps: float) -> MatchCertificate:
     """Invertible ``V`` with ``||V x_i - x_i'|| < eps`` and
     ``||V^{-1} y_j - y_j'|| < eps``.
 
     The targets are first tried verbatim; if either stacked system is
-    (nearly) dependent, they are nudged by at most ``eps/4`` along seeded
-    directions orthogonal to the spans already present.  ``V`` maps the span
-    of ``(x_i, w_j)`` onto the span of ``(z_i, y_j)`` by construction and a
+    (nearly) dependent, they are nudged by ``eps/4`` along unit directions
+    orthogonal to the spans already present.  ``V`` maps the span of
+    ``(x_i, w_j)`` onto the span of ``(z_i, y_j)`` by construction and a
     bijection between the two orthogonal complements completes it to an
     invertible operator.
     """
     check_positive(eps, "eps")
-    check_integer(seed, 0, "seed must be a nonnegative integer, got {}")
     x = as_columns(xs, None, "xs")
     if x.shape[1] == 0:
         raise InputError("xs must be nonempty")
@@ -207,16 +203,15 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
     def well_posed(mat: np.ndarray) -> bool:
         return rank(mat, _WELL_POSED_RCOND) == mat.shape[1]
 
-    rng = np.random.default_rng(seed)
     z, w = xt.copy(), yt.copy()
     if not (well_posed(np.hstack([x, w])) and well_posed(np.hstack([z, yv]))):
-        # nudge every target by eps/4 along fresh orthogonal directions
+        # nudge every target by eps/4 off the span of what is already fixed
         z, w = np.empty_like(xt), np.empty_like(yt)
         for j in range(m):
-            r = _orthogonal_direction(np.hstack([x, w[:, :j]]), yt[:, j], rng)
+            r = _orthogonal_direction(np.hstack([x, w[:, :j]]), yt[:, j])
             w[:, j] = yt[:, j] + 0.25 * eps * r
         for i in range(n):
-            r = _orthogonal_direction(np.hstack([yv, z[:, :i]]), xt[:, i], rng)
+            r = _orthogonal_direction(np.hstack([yv, z[:, :i]]), xt[:, i])
             z[:, i] = xt[:, i] + 0.25 * eps * r
 
     dom = np.hstack([x, w])
@@ -236,59 +231,43 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float,
     return MatchCertificate(v, float(sv[0] / sv[-1]), rx, ry)
 
 
-def _independent_subset(vectors: np.ndarray) -> tuple[list[int], float]:
-    """Greedy maximal independent column subset and the worst l1 coefficient
-    norm needed to express the remaining columns through it."""
-    chosen: list[int] = []
-    basis: list[np.ndarray] = []
-    gamma = 1.0
-    for i, v in enumerate(vectors.T):
-        if np.linalg.norm(v) == 0:
-            raise InputError(f"test vector {i} is zero")
-        if extend_orthonormal(basis, v):
-            chosen.append(i)
-        else:
-            # chosen = Q R for the basis Q, so the coefficients solve R c = Q^T v
-            rows = np.array(basis)
-            coeff = np.linalg.solve(rows @ vectors[:, chosen], rows @ v)
-            gamma = max(gamma, float(np.abs(coeff).sum()))
-    return chosen, gamma
-
-
-def approx_factorization(b, x0, y0, test_vectors, eps: float,
-                         seed: int = 0) -> SolutionPair:
+def approx_factorization(b, x0, y0, test_vectors, eps: float) -> SolutionPair:
     """A factorization of ``B`` close to prescribed targets on test vectors.
 
     Starting from :func:`factor_pair`, an invertible twist ``V`` of the
     internal space is matched so that ``(X V^{-1}, V Y)`` stays an exact
     factorization while ``||(V Y - U1 Y0) v|| < eps`` and
-    ``||(X V^{-1} U1 - X0) v|| < eps`` for every test vector ``v`` (``U1``
-    embeds the original space as the first internal summand).
+    ``||(X V^{-1} U1 - X0) v|| < eps`` for every test vector ``v`` (``U1``,
+    ``U2`` embed the original space as the two internal summands).  ``V`` is
+    matched on the principal directions ``p_j = s_j u_j`` of the test
+    vectors, ``v_i = sum_j W[j, i] p_j``, and ``V^{-1}`` aimed at ``U2 X0``
+    (``X U2 = I``), so the bound loses ``max_i sum_j |W[j, i]|`` and ``||X||``.
     """
     b, x0, y0 = as_square([("B", b), ("X target", x0), ("Y target", y0)])
     d = b.shape[0]
     vmat = as_columns(test_vectors, d, "test_vectors")
     if vmat.shape[1] == 0:
         raise InputError("need at least one test vector")
+    if not vmat.any(axis=0).all():
+        raise InputError(f"test vector {int(np.argmin(vmat.any(axis=0)))} is zero")
     check_positive(eps, "eps")
 
     pair = factor_pair(b)
     x, u1 = np.asarray(pair.X), np.asarray(pair.Y)  # factor_pair's Y is U1
-    # X = [B | I], so X X^T = B B^T + I, whose eigenvalues are all >= 1:
-    # ||X||^2 is its top eigenvalue and X^+ = X^T (X X^T)^{-1}
-    with np.errstate(over="ignore", invalid="ignore"):  # gram_top reports it
-        xxt = b @ b.T + np.eye(d)
-    norm_x = gram_top(xxt) ** 0.5
+    u2 = np.vstack([np.zeros((d, d)), np.eye(d)])  # X = [B | I], so X U2 = I
+    norm_x = math.hypot(1.0, float(svd(b, compute_uv=False)[0]))
 
-    chosen, gamma = _independent_subset(vmat)
-    sel = vmat[:, chosen]
-    cols = list((u1 @ sel).T)
-    xs_t = list((u1 @ (y0 @ sel)).T)
-    ys_t = list((x.T @ np.linalg.solve(xxt, x0 @ sel)).T)
+    u, sv, wh = svd(vmat)
+    r = rank_from_values(sv)
+    principal = u[:, :r] * sv[:r]  # v_i = sum_j wh[j, i] principal[:, j]
+    gamma = float(np.abs(wh[:r]).sum(axis=0).max())
+    cols = (u1 @ principal).T  # rows, as match_invertible takes vectors
+    xs_t = (u1 @ (y0 @ principal)).T
+    ys_t = (u2 @ (x0 @ principal)).T
 
     delta = eps / (2.0 * gamma * (1.0 + norm_x))
     try:
-        match = match_invertible(cols, xs_t, cols, ys_t, delta, seed=seed)
+        match = match_invertible(cols, xs_t, cols, ys_t, delta)
     except InfeasibleError as exc:
         raise InfeasibleError(
             f"no invertible twist meets eps={eps:g} at dimension {d}: its constraints "

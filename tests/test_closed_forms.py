@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from widthlab import (InputError, RigidCompactSpec, Samples, covers, ellipsoid, kolmogorov_widths,
-                      majorizes, range_equiv, schmidt_cover, singular_spectrum)
+from widthlab import (Geometric, InputError, Power, RigidCompactSpec, Samples, Scaled, Shifted,
+                      SuperGeometric, covers, ellipsoid, kolmogorov_widths, majorizes, range_equiv,
+                      sample, schmidt_cover, singular_spectrum)
 
 betas_in_range = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 
@@ -214,3 +215,39 @@ def test_windowed_majorization_constant_is_the_schmidt_norm(a, b):
     assert (v.holds, v.exact, w) == (True, False, min(64, len(a), len(b)))
     _, c = schmidt_cover(ellipsoid(np.diag(a[:w]), rcond=0.0), ellipsoid(np.diag(b[:w]), rcond=0.0))
     assert v.constant.hex() == c.hex()
+
+
+# scale(c, shift(k, geom(q) | pow(p) | supergeom(b))), all nonincreasing
+parametric_models = st.builds(
+    Scaled, st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-10, 10)),
+    st.builds(Shifted, st.integers(0, 16), st.one_of(
+        st.builds(Geometric, st.floats(0.05, 0.95)),
+        st.builds(Power, st.floats(0.1, 4.0)),
+        st.builds(SuperGeometric, st.floats(1.01, 3.0)))))
+
+
+def longest_sample(model, n_max=256):
+    """``sample(model, d)`` for the largest ``d <= n_max`` it accepts (it
+    refuses every ``d`` past the first term below ``MIN_TERM``)."""
+    for d in range(n_max, 0, -1):
+        try:
+            return sample(model, d)
+        except InputError:
+            pass
+    return []
+
+
+@settings(max_examples=12, deadline=None)  # up to 256 dense covers per example
+@given(parametric_models, parametric_models)
+def test_tower_schmidt_norm_climbs_to_the_majorization_constant(a, b):
+    # majorizes' closed-form C = sup_n b_n / a_n and the dense layer's
+    # Schmidt norm max_{n<d} b_n / a_n of the diagonal tower describe one
+    # object: at every accepted d the norm never decreases and never passes C
+    v = majorizes(a, b)
+    assume(v.holds and math.isfinite(v.constant))
+    ta, tb = longest_sample(a), longest_sample(b)
+    norms = [schmidt_cover(ellipsoid(np.diag(ta[:d]), rcond=0.0),
+                           ellipsoid(np.diag(tb[:d]), rcond=0.0))[1]
+             for d in range(1, min(len(ta), len(tb)) + 1)]
+    assert norms == sorted(norms)
+    assert max(norms) <= v.constant * (1 + 1e-12)

@@ -30,6 +30,8 @@ def write_inputs(d: Path) -> Path:
     mats = {"A": np.diag([3.0, 2.0, 1.0]), "T": 2 * np.eye(3), "Z": np.zeros((3, 3)),
             "R": np.arange(6.0).reshape(2, 3), "Y": np.array([[1.0, 0.0, 0.0]]).T,
             "X1": np.array([[1.0, 0.0, 0.0, 0.0]]), "X2": np.array([[0.0, 1.0, 0.0, 0.0]]),
+            # one vector each (a file's columns are the vectors): e0 .. e3 in R^4
+            **{f"E{i}": np.eye(4)[:, i:i + 1] for i in range(4)},
             # at the overflow edge: H H^T and M M^T overflow, M's s-numbers too
             "H": np.diag([1e300, 1.0, 1e-300]), "M": np.full((3, 3), 1e308)}
     for name, m in mats.items():
@@ -50,6 +52,7 @@ def command_table(d: Path) -> dict:
     """Per subcommand: positional candidates, then option -> candidate values
     (the first candidate is valid)."""
     mat = [str(d / f"{n}.mat") for n in ("A", "T", "Z", "R", "Y", "X1", "X2", "H", "M")]
+    col = [str(d / f"E{i}.mat") for i in range(4)]
     spec = [str(d / "good.json"), str(d / "short.json")]
     model = ["geom(0.5)", "samples(1,1e-5,1e-6)", "supergeom(2)", "pow(1)", "samples(1,0.5)",
              "shift(1e400, geom(0.5))", "pow(1e400)", "supergeom(1e400)"]
@@ -68,8 +71,12 @@ def command_table(d: Path) -> dict:
                            "--seed": ["0", "7"]}),
         "solve-xay": ([], {"--a": mat, "--b": mat}),
         "factor": ([], {"--b": mat}),
-        "match-inv": ([], {"--xs": mat[5:], "--xs-target": mat[5:], "--ys": mat[6:] + mat[5:6],
-                           "--ys-target": mat[6:], "--eps": ["1e-3"], "--seed": ["0"]}),
+        # first: V e0 = e1 and V^-1 e1 = e0, which must be nudged (demo 05);
+        # e0 -> e1 with e2 -> e3 is well posed
+        "match-inv": ([], {"--xs": [col[0], col[1], mat[5], mat[7]],
+                           "--xs-target": [col[1], col[0], mat[6], mat[8]],
+                           "--ys": [col[1], col[2], mat[6]], "--ys-target": [col[0], col[3], mat[8]],
+                           "--eps": ["1e-3"]}),
         "separate": ([mat, mat[1:] + mat[:1]], {}),
         "expanding": ([], {"--t": mat[1:] + mat[:1], "--a": mat}),
         "classify-we": ([], {"--model": model}),

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from widthlab import (
     solve_xay,
     xay_solvable,
 )
-from widthlab.equations import _independent_subset, _relative_residual
+from widthlab.equations import _relative_residual
 
 
 def random_with_rank(rng, d, r):
@@ -144,6 +147,18 @@ class TestFactorPair:
             assert np.linalg.matrix_rank(np.asarray(pair.X)) == d
             assert np.linalg.matrix_rank(np.asarray(pair.Y)) == d
 
+    @pytest.mark.parametrize("k", [-1060, -500, 0, 500, 1000])
+    def test_exact_at_every_scale(self, k):
+        # X = [B | I] and Y = U1 = [I; 0]: every entry of X Y is one entry
+        # of B times 1 plus zeros, and X U2 = I for U2 = [0; I], bit for bit
+        d = 6
+        b = np.ldexp(np.random.default_rng(11).normal(size=(d, d)), k)
+        pair = factor_pair(b)
+        x, y = np.asarray(pair.X), np.asarray(pair.Y)
+        assert np.array_equal(x @ y, b)
+        assert pair.residual == 0.0
+        assert np.array_equal(x @ np.vstack([np.zeros((d, d)), np.eye(d)]), np.eye(d))
+
 
 class TestMatchInvertible:
     def test_exact_targets_give_zero_residuals(self):
@@ -167,7 +182,7 @@ class TestMatchInvertible:
             ys = [rng.normal(size=d) for _ in range(3)]
             xst = [rng.normal(size=d) for _ in range(3)]
             yst = [rng.normal(size=d) for _ in range(3)]
-            cert = match_invertible(xs, xst, ys, yst, eps=1e-4, seed=trial)
+            cert = match_invertible(xs, xst, ys, yst, eps=1e-4)
             assert max(cert.x_residuals + cert.y_residuals) < 1e-4
             v = np.asarray(cert.operator)
             assert np.linalg.svd(v, compute_uv=False)[-1] > 0
@@ -187,14 +202,14 @@ class TestMatchInvertible:
         rng = np.random.default_rng(seed)
         xs, ys, xst, yst = (rng.normal(size=(n, 7)) for n in (2, 2, 2, 2))
         xst[0] = ys[0] - ys[1]
-        cert = match_invertible(xs, xst, ys, yst, eps=1e-6, seed=seed)
+        cert = match_invertible(xs, xst, ys, yst, eps=1e-6)
         v = np.asarray(cert.operator)
         moved = [v @ x - t for x, t in zip(xs, xst)]
         np.testing.assert_allclose([np.linalg.norm(m) for m in moved], 0.25e-6, rtol=1e-6)
         np.testing.assert_allclose(cert.x_residuals, 0.25e-6, rtol=1e-6)
         assert max(cert.y_residuals) < 1e-6
         # the second x target's nudge is orthogonal to ys and the first
-        # nudged target (a random direction has cosines near 0.3)
+        # nudged target (a direction drawn at random has cosines near 0.3)
         span = np.column_stack([*ys, xst[0] + moved[0]])
         cosines = (span / np.linalg.norm(span, axis=0)).T @ (moved[1] / np.linalg.norm(moved[1]))
         assert np.abs(cosines).max() <= 1e-6
@@ -222,7 +237,7 @@ class TestMatchInvertible:
         xst, yst = list(rng.normal(size=(3, d))), list(rng.normal(size=(2, d)))
         if nudged:  # an x target inside span(xs, y targets) forces the nudge
             xst[0] = xs[1] + yst[0]
-        cert = match_invertible(xs, xst, ys, yst, eps=1e-6, seed=seed)
+        cert = match_invertible(xs, xst, ys, yst, eps=1e-6)
         v = np.asarray(cert.operator)
         sv = np.linalg.svd(v, compute_uv=False)
         assert cert.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
@@ -242,20 +257,12 @@ class TestMatchInvertible:
             xst[0] = ys[0] + ys[1]
 
         def worst(s):
-            cert = match_invertible(s * xs, s * xst, s * ys, s * yst, eps=s * 1e-6, seed=5)
+            cert = match_invertible(s * xs, s * xst, s * ys, s * yst, eps=s * 1e-6)
             return max(cert.x_residuals + cert.y_residuals) / (s * 1e-6)
 
         at_one, scaled = worst(1.0), worst(2.0 ** k)
         assert (at_one > 0.1) == (scaled > 0.1) == nudged
         assert scaled == pytest.approx(at_one, rel=1e-6, abs=1e-6)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_seed_must_be_a_nonnegative_integer(self, seed):
-        e = np.eye(4)
-        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
-            match_invertible([e[:, 0]], [e[:, 0]], [e[:, 1]], [e[:, 1]], eps=1e-3, seed=seed)
-        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
-            approx_factorization(np.eye(2), np.eye(2), np.eye(2), [e[:2, 0]], eps=1e-2, seed=seed)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-3])
     def test_eps_must_be_positive_and_finite(self, eps):
@@ -292,7 +299,7 @@ class TestApproxFactorization:
             x0 = rng.normal(size=(d, d))
             y0 = rng.normal(size=(d, d))
             vs = [rng.normal(size=d) for _ in range(3)]
-            pair = approx_factorization(b, x0, y0, vs, eps=1e-3, seed=trial)
+            pair = approx_factorization(b, x0, y0, vs, eps=1e-3)
             x, y = np.asarray(pair.X), np.asarray(pair.Y)
             assert np.linalg.norm(x @ y - b) <= 1e-9 * (1 + np.linalg.norm(b))
             for v in vs:
@@ -310,23 +317,24 @@ class TestApproxFactorization:
         assert pair.residual <= 1e-9
 
     @pytest.mark.parametrize("d, rank", [(1, 1), (4, 4), (12, 12), (12, 5), (12, 0)])
-    def test_pseudo_inverse_closed_form(self, d, rank):
-        # X = [B | I] from factor_pair, so X^+ = X^T (B B^T + I)^-1 and
-        # ||X||^2 = 1 + s_1(B)^2; numpy's pinv and 2-norm are the oracles
+    def test_right_inverse_and_norm_closed_form(self, d, rank):
+        # X = [B | I] from factor_pair, so U2 = [0; I] is an exact right
+        # inverse and ||X|| = hypot(1, s_1(B)); numpy's 2-norm is the oracle
         rng = np.random.default_rng(d + rank)
         b = random_with_rank(rng, d, rank)
         x = np.asarray(factor_pair(b).X)
-        g = b @ b.T + np.eye(d)
-        y = rng.normal(size=(d, 3))
-        np.testing.assert_allclose(x.T @ np.linalg.solve(g, y), np.linalg.pinv(x) @ y,
-                                   rtol=1e-10, atol=1e-12)
-        assert np.linalg.eigvalsh(g)[-1] == pytest.approx(np.linalg.norm(x, 2) ** 2, rel=1e-12)
+        u2 = np.vstack([np.zeros((d, d)), np.eye(d)])
+        assert np.array_equal(x @ u2, np.eye(d))
+        s1 = np.linalg.svd(b, compute_uv=False)[0]
+        assert math.hypot(1.0, s1) == pytest.approx(np.linalg.norm(x, 2), rel=1e-12)
 
-    @pytest.mark.parametrize("k, feasible", [(-1000, False), (-700, False), (0, True), (100, False)])
+    @pytest.mark.parametrize("k, feasible", [(-1000, False), (-700, False), (0, True), (20, True),
+                                             (100, False), (511, False), (1000, False)])
     def test_outcome_across_scales_of_b(self, k, feasible):
         # the residual ||XY - B|| / ||B|| is relative at every scale: a tiny B
         # drowns in the round-off of the identity half of X = [B | I], and
-        # ||B|| near 2^100 leaves no room for eps
+        # ||B|| near 2^100 leaves no room for eps; no B Gram matrix is formed,
+        # so from 2^511 on, where B B^T overflows, the twist is still tried
         rng = np.random.default_rng(0)
         d = 6
         b, x0, y0 = (rng.normal(size=(d, d)) for _ in range(3))
@@ -344,16 +352,21 @@ class TestApproxFactorization:
             assert np.linalg.norm(y @ v - u1 @ (y0 @ v)) < 0.1
             assert np.linalg.norm(x @ (u1 @ v) - x0 @ v) < 0.1
 
-    def test_dependent_vector_coefficients_match_least_squares(self):
-        # the coefficients come from the Gram-Schmidt basis, not lstsq
+    def test_dependent_test_vectors_each_meet_eps(self):
+        # three principal directions carry five vectors, two of them
+        # combinations with l1 coefficient norms 5 and 5.5
         rng = np.random.default_rng(10)
-        v1, v2, v3 = rng.normal(size=(3, 7))
-        vmat = np.column_stack([v1, v2, 2 * v1 - 3 * v2, v3, -v1 + 0.5 * v2 + 4 * v3])
-        chosen, gamma = _independent_subset(vmat)
-        assert chosen == [0, 1, 3]
-        coeffs = np.linalg.lstsq(vmat[:, chosen], vmat[:, [2, 4]], rcond=None)[0]
-        assert gamma == pytest.approx(np.abs(coeffs).sum(axis=0).max(), rel=1e-12)
-        assert gamma == pytest.approx(5.5, rel=1e-12)
+        d = 7
+        v1, v2, v3 = rng.normal(size=(3, d))
+        vs = [v1, v2, 2 * v1 - 3 * v2, v3, -v1 + 0.5 * v2 + 4 * v3]
+        b, x0, y0 = (rng.normal(size=(d, d)) for _ in range(3))
+        pair = approx_factorization(b, x0, y0, vs, eps=1e-3)
+        x, y = np.asarray(pair.X), np.asarray(pair.Y)
+        u1 = np.vstack([np.eye(d), np.zeros((d, d))])
+        assert pair.residual <= 1e-9
+        for v in vs:
+            assert np.linalg.norm(y @ v - u1 @ (y0 @ v)) < 1e-3
+            assert np.linalg.norm(x @ (u1 @ v) - x0 @ v) < 1e-3
 
     def test_zero_test_vector_rejected(self):
         with pytest.raises(InputError, match="zero"):
@@ -361,16 +374,17 @@ class TestApproxFactorization:
                                  [np.zeros(2)], eps=1e-3)
 
     def test_infeasible_twist_names_the_callers_eps(self):
-        # with ||B|| near 2^20 the twist must meet an inner tolerance of
-        # about 1.5e-9, which it misses; the error names eps=0.01, not that
+        # with ||B|| near 2^40 the twist must meet an inner tolerance of
+        # about 8e-16, which it misses; the error names eps=0.01, not that
         rng = np.random.default_rng(0)
         d = 6
         b, x0, y0 = (rng.normal(size=(d, d)) for _ in range(3))
         vs = list(rng.normal(size=(3, d)))
         with pytest.raises(InfeasibleError, match=r"eps=0\.01 at dimension 6") as err:
-            approx_factorization(np.ldexp(b, 20), x0, y0, vs, eps=1e-2)
-        assert "eps=1.4" not in str(err.value)
-        assert err.value.achieved > 1e-9
+            approx_factorization(np.ldexp(b, 40), x0, y0, vs, eps=1e-2)
+        inner = float(re.search(r"residuals below (\S+)$", str(err.value)).group(1))
+        assert f"eps={inner:g}" not in str(err.value)
+        assert err.value.achieved > inner
 
     def test_infeasible_eps_reports_achieved(self):
         b = np.diag([1.0, 2.0])
