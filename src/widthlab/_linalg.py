@@ -15,42 +15,65 @@ RANK_RCOND = 1e-12
 INDEPENDENCE_TOL = 1e-10  # v depends on an orthonormal set if its part off it is <= this * ||v||
 
 
+def monomial_svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """Exact SVD of a *monomial* matrix, one with at most one nonzero per
+    row and per column, shaped as :func:`svd` returns it; ``None`` for any
+    other matrix.
+
+    The singular values are the sorted ``|entries|``, their signs go into
+    ``u``, and unused coordinates fill the remaining columns of ``u`` and
+    rows of ``vh``.  A matrix with more nonzeros than ``min(m, n)`` is
+    turned away after one count; otherwise one pass finds the nonzeros and
+    a repeated row or column turns it away.  Singular values that are not
+    finite are refused, as in :func:`svd`.
+    """
+    m, n = a.shape
+    nz = a != 0
+    if np.count_nonzero(nz) > min(m, n):
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nz), n)
+    free_cols = np.ones(n, dtype=bool)
+    free_cols[cols] = False
+    # flat indices ascend, so a repeated row sits next to itself
+    if (rows[1:] == rows[:-1]).any() or n - np.count_nonzero(free_cols) < cols.size:
+        return None
+    vals = a[rows, cols]
+    order = np.argsort(-np.abs(vals), kind="stable")
+    vals, rows, cols = vals[order], rows[order], cols[order]
+    p = vals.size
+    sv = np.zeros(min(m, n))
+    sv[:p] = np.abs(vals)
+    check_no_overflow(sv, "singular values")
+    if not compute_uv:
+        return sv
+    ku, kv = (m, n) if full_matrices else (sv.size, sv.size)
+    free_rows = np.ones(m, dtype=bool)
+    free_rows[rows] = False
+    u = np.zeros((m, ku))
+    u[rows, np.arange(p)] = np.sign(vals)
+    u[np.flatnonzero(free_rows)[: ku - p], np.arange(p, ku)] = 1.0
+    vh = np.zeros((kv, n))
+    vh[np.arange(p), cols] = 1.0
+    vh[np.arange(p, kv), np.flatnonzero(free_cols)[: kv - p]] = 1.0
+    return u, sv, vh
+
+
 def svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
     """SVD of a finite matrix, as ``np.linalg.svd`` with the same arguments
     (but thin factors by default); the one SVD entry point of the package.
 
-    A *monomial* matrix, with at most one nonzero per row and per column,
-    is decomposed exactly: its singular values are its sorted ``|entries|``,
-    their signs go into ``u``, and unused coordinates fill the remaining
-    columns of ``u`` and rows of ``vh``.  gesdd can lose the relative
-    accuracy of such a graded diagonal (Demmel & Kahan 1990), and the
-    dichotomy tower's generators and its axis-aligned constraint blocks are
-    all monomial.  Every other matrix goes to gesdd.  Singular values that
-    overflow are refused.
+    A monomial matrix is decomposed exactly by :func:`monomial_svd`.
+    gesdd can lose the relative accuracy of such a graded diagonal (Demmel
+    & Kahan 1990), and the dichotomy tower's generators and its
+    axis-aligned constraint blocks are all monomial.  Every other matrix
+    goes to gesdd.  Singular values that overflow are refused.
     """
-    nz = a != 0
-    if (nz.sum(axis=0) > 1).any() or (nz.sum(axis=1) > 1).any():
-        out = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
-        check_no_overflow(out[1] if compute_uv else out, "singular values")
-        return out
-    rows, cols = np.nonzero(nz)
-    vals = a[rows, cols]
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals, rows, cols = vals[order], rows[order], cols[order]
-    m, n = a.shape
-    p = vals.size
-    sv = np.zeros(min(m, n))
-    sv[:p] = np.abs(vals)
-    if not compute_uv:
-        return sv
-    ku, kv = (m, n) if full_matrices else (sv.size, sv.size)
-    u = np.zeros((m, ku))
-    u[rows, np.arange(p)] = np.sign(vals)
-    u[np.flatnonzero(~nz.any(axis=1))[: ku - p], np.arange(p, ku)] = 1.0
-    vh = np.zeros((kv, n))
-    vh[np.arange(p), cols] = 1.0
-    vh[np.arange(p, kv), np.flatnonzero(~nz.any(axis=0))[: kv - p]] = 1.0
-    return u, sv, vh
+    exact = monomial_svd(a, full_matrices, compute_uv)
+    if exact is not None:
+        return exact
+    out = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+    check_no_overflow(out[1] if compute_uv else out, "singular values")
+    return out
 
 
 def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:

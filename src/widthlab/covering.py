@@ -21,7 +21,7 @@ import numpy as np
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
 from ._linalg import rank_from_values, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
-from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow, check_spectrum
+from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow
 from .seqlab import SequenceModel, is_lacunary, sample
 from .spectra import Ellipsoid, ellipsoid
 
@@ -176,7 +176,6 @@ def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
 
     kernel = nullspace_basis(y.T @ e.generator, rcond=e.rcond)
     u_sec, s_sec, _ = svd(e.generator @ kernel)
-    check_spectrum(s_sec, "singular spectrum")
     d0, c = _schmidt_pairing(
         s_sec[: rank_from_values(s_sec, e.rcond)], e.spectrum.values[: e.rank - m],
         (amb, amb), lambda: (u_sec, e.span_basis),

@@ -126,12 +126,13 @@ def as_subspace(y, dim: int, name: str) -> np.ndarray:
 
 
 def check_spectrum(values: np.ndarray, name: str) -> None:
-    """``values`` must be finite, nonnegative and nonincreasing; NaN fails
-    every comparison, so it is rejected too."""
-    import numpy as np
-
-    if values.size and not (np.all(np.isfinite(values)) and np.all(values >= 0)
-                            and np.all(np.diff(values) <= 0)):
+    """``values`` must be finite, nonnegative and nonincreasing.  One pass
+    tests the order; a nonincreasing sequence is then finite and
+    nonnegative when its first value is below infinity and its last is at
+    least zero.  NaN fails every comparison, so it is rejected wherever it
+    sits."""
+    if values.size and not (values[0] < math.inf and values[-1] >= 0
+                            and (values[1:] <= values[:-1]).all()):
         raise InputError(f"{name} must be finite, nonnegative and nonincreasing")
 
 
@@ -139,7 +140,7 @@ def check_no_overflow(values, name: str) -> None:
     """``values``, computed from finite input, must have stayed finite."""
     import numpy as np
 
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InputError(f"{name} overflow double precision; rescale the input")
 
 

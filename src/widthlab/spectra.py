@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, nullspace_basis, rank_from_values, svd
+from ._linalg import RANK_RCOND, monomial_svd, nullspace_basis, rank_from_values, svd
 from .errors import InputError, as_columns, as_operator, as_subspace, check_integer, check_positive
 from .errors import check_no_overflow, check_spectrum, frozen
 
@@ -97,7 +97,9 @@ class Ellipsoid:
     closed linear span of the ellipsoid) and ``right_basis`` the matching
     right singular vectors, so
     ``generator ~= span_basis @ diag(s_1..s_r) @ right_basis.T``.  Both come
-    from one factored SVD, cached as one pair; ``gram`` caches
+    from one factored SVD, cached as one pair, unless the pair was seeded
+    when the ellipsoid was made (:func:`ellipsoid` of a monomial generator,
+    :func:`truncate_ellipsoid`); ``gram`` caches
     ``generator @ generator.T`` for its one reader, the covering
     certificate :func:`~widthlab.covering.covers`.  Each cache is stored
     once, by ``dict.setdefault``, so concurrent first reads see the same
@@ -111,12 +113,16 @@ class Ellipsoid:
     def __post_init__(self):
         object.__setattr__(self, "generator", frozen(self.generator))
 
+    def _leading_pairs(self, u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cached ``(span_basis, right_basis)`` from the factors of an
+        SVD of the generator."""
+        return frozen(u[:, : self.rank]), frozen(vh[: self.rank].T)
+
     def _bases(self) -> tuple[np.ndarray, np.ndarray]:
         pair = self.__dict__.get("_uv")
         if pair is None:
             u, _, vh = svd(self.generator)
-            pair = frozen(u[:, : self.rank]), frozen(vh[: self.rank].T)
-            pair = self.__dict__.setdefault("_uv", pair)
+            pair = self.__dict__.setdefault("_uv", self._leading_pairs(u, vh))
         return pair
 
     @property
@@ -159,11 +165,17 @@ def singular_spectrum(a, rcond: float = RANK_RCOND) -> SingularSpectrum:
 
 
 def ellipsoid(a, rcond: float = RANK_RCOND) -> Ellipsoid:
-    """Build the ellipsoid ``a(B)``: its s-numbers from one values-only SVD
-    now, its bases from one factored SVD on first read."""
+    """Build the ellipsoid ``a(B)``.  A monomial generator takes its
+    s-numbers and both bases from one exact decomposition now; any other
+    takes its s-numbers from one values-only SVD now and its bases from one
+    factored SVD on first read."""
     arr = as_operator(a, "generator")
-    sv = svd(arr, compute_uv=False)
-    return Ellipsoid(arr, SingularSpectrum(values=sv, rank=rank_from_values(sv, rcond)), rcond=rcond)
+    exact = monomial_svd(arr)
+    sv = svd(arr, compute_uv=False) if exact is None else exact[1]
+    e = Ellipsoid(arr, SingularSpectrum(values=sv, rank=rank_from_values(sv, rcond)), rcond=rcond)
+    if exact is not None:
+        e.__dict__["_uv"] = e._leading_pairs(exact[0], exact[2])
+    return e
 
 
 def kolmogorov_widths(e: Ellipsoid) -> WidthSequence:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from widthlab import (Geometric, InputError, Power, RigidCompactSpec, Samples, Scaled, Shifted,
                       SuperGeometric, covers, ellipsoid, kolmogorov_widths, majorizes, range_equiv,
-                      sample, schmidt_cover, singular_spectrum)
+                      sample, schmidt_cover, singular_spectrum, wot_density_experiment)
 
 betas_in_range = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
 
@@ -251,3 +251,38 @@ def test_tower_schmidt_norm_climbs_to_the_majorization_constant(a, b):
              for d in range(1, min(len(ta), len(tb)) + 1)]
     assert norms == sorted(norms)
     assert max(norms) <= v.constant * (1 + 1e-12)
+
+
+def accepted_length(model) -> int:
+    """The largest ``d`` that ``sample(model, d)`` accepts: the index of the
+    first term below ``MIN_TERM``."""
+    d = 0
+    while True:
+        try:
+            model.term(d)
+        except InputError:
+            return d
+        d += 1
+
+
+@settings(max_examples=40, deadline=None)  # d up to 574
+@given(st.one_of(st.floats(0.05, 0.3).map(Geometric), st.floats(1.01, 3.0).map(SuperGeometric)),
+       st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(Geometric(0.3), 3, 7, 1.0)  # d = 574, the largest any q in range accepts
+@example(Geometric(0.05), 1, 7, 1.0)
+@example(SuperGeometric(1.01), 3, 7, 1.0)
+@example(SuperGeometric(3.0), 3, 7, 0.0)
+def test_tower_yield_closed_form_at_every_accepted_dimension(model, m, seed, place):
+    # with m axes drawn among the first d - m (d >= 2m) the yield is the last
+    # ratio t_(d-1) / t_(d-m-1) of the diagonal tower: q^m for geom(q) and
+    # b^(-m(2d-m-2)) for supergeom(b), to the rounding of the terms; d runs
+    # from 2m (place 0) to the largest length sample accepts (place 1)
+    top = accepted_length(model)
+    d = 2 * m + round(place * (top - 2 * m))
+    rho = wot_density_experiment(model, m, [d], seed).rho[0]
+    if isinstance(model, Geometric):
+        assert top <= 574
+        want = model.q ** m
+    else:
+        want = model.b ** float(-m * (2 * d - m - 2))
+    assert abs(rho - want) <= 4 * math.ulp(want), (rho, want)

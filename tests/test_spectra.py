@@ -15,7 +15,8 @@ from widthlab import (
     singular_spectrum,
     truncate_ellipsoid,
 )
-from widthlab._linalg import nullspace_basis
+from widthlab import spectra
+from widthlab._linalg import RANK_RCOND, monomial_svd, nullspace_basis, svd
 
 
 def random_orthogonal(rng, d):
@@ -67,8 +68,11 @@ class TestSingularSpectrum:
 
     @pytest.mark.parametrize("build", [lambda v: SingularSpectrum(values=v, rank=1),
                                        lambda v: WidthSequence(values=v)])
-    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]])
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [np.nan],
+                                        [2.0, np.nan, 1.0], [2.0, 1.0, -np.inf],
+                                        [1.0, -0.5], [-1.0], [1.0, 2.0]])
     def test_constructors_reject_non_finite_values(self, build, values):
+        # and negative or increasing ones, under the same refusal
         with pytest.raises(InputError, match="must be finite, nonnegative and nonincreasing"):
             build(values)
 
@@ -165,8 +169,10 @@ class TestSections:
 
 
 class TestLazyBases:
-    """s-numbers at construction from one values-only SVD; both bases on
-    first read from one factored SVD, cached as one pair."""
+    """A dense generator: s-numbers at construction from one values-only
+    SVD, both bases on first read from one factored SVD, cached as one
+    pair.  A monomial generator: all three from one exact decomposition at
+    construction."""
 
     def test_bases_cost_one_factored_svd_across_reads(self, linalg_calls):
         e = ellipsoid(np.random.default_rng(31).normal(size=(30, 20)))
@@ -175,6 +181,31 @@ class TestLazyBases:
         for _ in range(3):
             assert e.right_basis is right and e.span_basis is span
         assert linalg_calls == {"svd": 1, "svd_uv": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("rcond", [0.0, RANK_RCOND])
+    def test_monomial_generator_is_decomposed_once(self, monkeypatch, rcond):
+        # the s-numbers and both bases come from the one exact decomposition
+        # svd gives, so reading the bases decomposes nothing more
+        a = np.zeros((7, 5))
+        a[[4, 0, 6, 2], [1, 3, 0, 4]] = [3.0, -1e-13, 0.25, -2.0]
+        u, sv, vh = svd(a)
+        calls = []
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spectra, "monomial_svd", counted(monomial_svd))
+        monkeypatch.setattr(spectra, "svd", counted(svd))
+        e = ellipsoid(a, rcond=rcond)
+        assert calls == ["monomial_svd"]
+        assert e.rank == (4 if rcond == 0.0 else 3)
+        assert e.spectrum.values.tobytes() == sv.tobytes()
+        assert e.span_basis.tobytes() == u[:, : e.rank].tobytes()
+        assert e.right_basis.tobytes() == np.ascontiguousarray(vh[: e.rank].T).tobytes()
+        assert calls == ["monomial_svd"]
 
     def test_widths_make_no_factored_svd(self, linalg_calls):
         kolmogorov_widths(ellipsoid(np.random.default_rng(32).normal(size=(30, 30))))
