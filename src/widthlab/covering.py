@@ -111,21 +111,21 @@ def covers(t, e1: Ellipsoid, e2: Ellipsoid) -> CoverCertificate:
     return CoverCertificate(True, margin, norm=norm)
 
 
-def _schmidt_pairing(s_src, s_tgt, shape, bases) -> tuple[np.ndarray, float]:
-    """The minimal-norm cover ``C W`` from the nonzero s-numbers ``s_src``
-    and ``s_tgt`` of a source and a target, as the pair ``(W, C)``:
-    ``C = max_n s_tgt[n]/s_src[n]`` and the partial isometry
-    ``W = U_tgt U_src^T`` over the leading ``len(s_tgt)`` span-basis
-    columns, which ``bases()`` returns as ``(U_src, U_tgt)`` once a nonzero
-    cover needs them; ``shape`` is the shape of ``W``, zero for a zero
-    target."""
+def _schmidt_factors(s_src, s_tgt, shape, bases) -> tuple[np.ndarray, np.ndarray, float]:
+    """The minimal-norm cover ``C U_tgt U_src^T`` from the nonzero
+    s-numbers ``s_src`` and ``s_tgt`` of a source and a target, as the
+    triple ``(U_tgt, U_src, C)``: ``C = max_n s_tgt[n]/s_src[n]`` and the
+    leading ``len(s_tgt)`` span-basis columns, which ``bases()`` returns as
+    ``(U_src, U_tgt)`` once a nonzero cover needs them.  A zero target gives
+    ``C = 0`` and factors with no columns, whose product is the zero matrix
+    of ``shape``."""
     r1, r2 = s_src.size, s_tgt.size
     if r2 > r1:
         raise NotCoverableError(f"not coverable: target rank {r2} exceeds source rank {r1}")
     if r2 == 0:
-        return np.zeros(shape), 0.0
+        return np.zeros((shape[0], 0)), np.zeros((shape[1], 0)), 0.0
     u_src, u_tgt = bases()
-    return u_tgt[:, :r2] @ u_src[:, :r2].T, float(np.max(s_tgt / s_src[:r2]))
+    return u_tgt[:, :r2], u_src[:, :r2], float(np.max(s_tgt / s_src[:r2]))
 
 
 def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
@@ -135,11 +135,52 @@ def schmidt_cover(e1: Ellipsoid, e2: Ellipsoid) -> tuple[np.ndarray, float]:
     ``C = max_n s_n(A2)/s_n(A1)``; no covering operator of smaller norm
     exists, since any cover must satisfy ``d_n(K2) <= ||D|| d_n(K1)``.
     """
-    w, c = _schmidt_pairing(
+    u_tgt, u_src, c = _schmidt_factors(
         e1.spectrum.values[: e1.rank], e2.spectrum.values[: e2.rank],
         (e2.ambient_dim, e1.ambient_dim), lambda: (e1.span_basis, e2.span_basis),
     )
-    return c * w, c
+    return c * (u_tgt @ u_src.T), c
+
+
+def _prescribed_factors(e: Ellipsoid, y, n):
+    """The checked constraints of :func:`prescribed_cover` and the factors of
+    its norm-one Schmidt cover ``D0 = U_tgt U_sec^T``, as
+    ``(y, n, U_tgt, U_sec, C)`` with the yield ``rho = 1/C``.
+
+    The section ``K ∩ Y⊥`` is ``A`` on ``ker(Y^T A)``, so its nonzero
+    singular pairs are those of ``A (I - R R^T) = A - (A R) R^T``, where
+    ``R`` is the row-space basis of ``Y^T A`` from one thin SVD of that
+    ``m x dom`` block.  That product carries ``rank(Y^T A)`` more values,
+    zero up to round-off, than ``A`` on the kernel, and needs no cut: only
+    the leading ``rank - m <= dom - rank(Y^T A)`` pairs are read, and a
+    source rank short of ``rank - m`` leaves every later value under the
+    cutoff too, so the source rank that :class:`NotCoverableError` reports
+    is that of ``A`` on the kernel.  The truncated target is ``e``'s own
+    leading ``rank - m`` singular pairs, as
+    :func:`~widthlab.spectra.truncate_ellipsoid` would give them.
+    """
+    amb, a = e.ambient_dim, e.generator
+    y = as_subspace(y, amb, "constraint subspace")
+    m = y.shape[1]
+    if m >= e.rank:
+        raise InputError(f"constraint dimension {m} must stay below the rank {e.rank}")
+    n = np.zeros((amb, 0)) if n is None else np.asarray(n, dtype=float)
+    if n.shape != (amb, m):
+        raise InputError(f"prescribed images: expected shape ({amb}, {m}), got {n.shape}")
+    if m:
+        n = as_operator(n, "prescribed images")
+
+    _, s_row, vh = svd(y.T @ a)
+    r = rank_from_values(s_row, e.rcond)
+    rows = vh[:r].T
+    section = (a @ rows) @ rows.T
+    np.subtract(a, section, out=section)
+    u_sec, s_sec, _ = svd(section)
+    u_tgt, u_sec, c = _schmidt_factors(
+        s_sec[: rank_from_values(s_sec, e.rcond)], e.spectrum.values[: e.rank - m],
+        (amb, amb), lambda: (u_sec, e.span_basis),
+    )
+    return y, n, u_tgt, u_sec, c
 
 
 def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
@@ -159,34 +200,19 @@ def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
     subspace check lets reach ``ORTHO_TOL`` in each entry of ``y^T y - I``.
 
     The section's s-numbers and span basis come from one factored SVD of
-    ``A Z`` (``Z`` an orthonormal basis of ``ker(Y^T A)``), and the
-    truncation is ``e``'s own leading ``rank - m`` singular pairs, as
-    :func:`~widthlab.spectra.truncate_ellipsoid` would give them.
+    ``A - (A R) R^T`` (``R`` a row-space basis of ``Y^T A``, from a thin
+    SVD of that block), and the truncation is ``e``'s own leading
+    ``rank - m`` singular pairs.  ``D = U_tgt U_sec^T`` is formed once and
+    takes the rank-``m`` update ``N Y^T - D0 Y Y^T`` in place.
     """
-    amb = e.ambient_dim
-    y = as_subspace(y, amb, "constraint subspace")
-    m = y.shape[1]
-    if m >= e.rank:
-        raise InputError(f"constraint dimension {m} must stay below the rank {e.rank}")
-    n = np.zeros((amb, 0)) if n is None else np.asarray(n, dtype=float)
-    if n.shape != (amb, m):
-        raise InputError(f"prescribed images: expected shape ({amb}, {m}), got {n.shape}")
-    if m:
-        n = as_operator(n, "prescribed images")
-
-    kernel = nullspace_basis(y.T @ e.generator, rcond=e.rcond)
-    u_sec, s_sec, _ = svd(e.generator @ kernel)
-    d0, c = _schmidt_pairing(
-        s_sec[: rank_from_values(s_sec, e.rcond)], e.spectrum.values[: e.rank - m],
-        (amb, amb), lambda: (u_sec, e.span_basis),
-    )
-    rho = 1.0 / c
-    if m:
-        # D = N Y^T + D0 (I - Y Y^T), applied as a rank-m update
-        d = d0 - (d0 @ y) @ y.T + n @ y.T
-    else:
-        d = d0
-    return d, rho
+    y, n, u_tgt, u_sec, c = _prescribed_factors(e, y, n)
+    d = u_tgt @ u_sec.T
+    if y.shape[1]:
+        # D = N Y^T + D0 (I - Y Y^T); both update terms share one buffer
+        update = np.matmul(d @ y, y.T)
+        d -= update
+        d += np.matmul(n, y.T, out=update)
+    return d, 1.0 / c
 
 
 def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> DichotomyReport:
@@ -196,8 +222,13 @@ def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> Dic
     the first ``d`` model terms, draws ``m`` of its principal axes among the
     first ``d - m`` (the axes the truncated target keeps, so each constraint
     genuinely competes with the covering task) together with random
-    prescribed values, and records the yield of :func:`prescribed_cover`.
-    Axis-aligned constraints keep every quantity exact in floating point.
+    prescribed values, and records the yield of :func:`prescribed_cover`
+    and its constraint residual ``max|D y - n|``.  Both are read off the
+    cover's factors without forming ``D``: the yield is ``1/C``, and
+    ``D y = D0 y - D0 y (Y^T Y) + N (Y^T Y)`` with
+    ``D0 y = U_tgt (U_sec^T y)`` costs ``O(d^2 m)``.  Axis-aligned
+    constraints keep every quantity exact in floating point, so each point
+    carries the bits :func:`prescribed_cover` gives on the same draw.
     Deterministic given ``seed``; dimensions use independent substreams, so
     concurrent evaluation would produce the identical report.
 
@@ -233,9 +264,10 @@ def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> Dic
         else:
             y = np.zeros((d, 0))
             n = np.zeros((d, 0))
-        dmat, rho = prescribed_cover(e, y, n)
-        rhos.append(float(rho))
-        residuals.append(float(np.max(np.abs(dmat @ y - n))) if m else 0.0)
+        y, n, u_tgt, u_sec, c = _prescribed_factors(e, y, n)
+        g, d0y = y.T @ y, u_tgt @ (u_sec.T @ y)
+        rhos.append(1.0 / c)
+        residuals.append(float(np.max(np.abs(d0y - d0y @ g + n @ g - n))) if m else 0.0)
     return DichotomyReport(
         dims=tuple(dims),
         rho=tuple(rhos),

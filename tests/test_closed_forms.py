@@ -198,6 +198,54 @@ def test_range_equiv_of_a_twist_gives_its_extreme_singular_values(case):
     assert abs(eq.c - lo) <= 1e-10 * lo and abs(eq.C - hi) <= 1e-10 * hi
 
 
+@st.composite
+def graded_pairs(draw):
+    """Two ``d x d`` generators ``U diag(s) V^T`` with Haar-random orthogonal
+    factors: ``s`` graded from 1 down to 1e-12 (the floor itself drawn
+    half the time), ``t`` graded the same way and scaled by 1e-3 to 1e3."""
+    d = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.sort(10.0 ** (-12 * rng.uniform(size=d)))[::-1]
+    s[0] = 1.0
+    if d > 1 and draw(st.booleans()):
+        s[-1] = 1e-12
+    t = np.sort(10.0 ** (-12 * rng.uniform(size=d)))[::-1] * 10.0 ** draw(st.floats(-3, 3))
+    a1, a2 = (orthonormal(rng, d, d, False) @ (v[:, None] * orthonormal(rng, d, d, False).T)
+              for v in (s, t))
+    return a1, a2, s, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_pairs())
+def test_schmidt_cover_norm_is_the_largest_s_number_ratio(case):
+    """The minimal cover of ``A2(B)`` by ``A1(B)`` has norm
+    ``C = max_n t_n / s_n``, for the prescribed s-numbers ``s``
+    of ``A1`` and ``t`` of ``A2``.
+
+    Tolerance.  Forming ``U diag(s) V^T`` and gesdd's backward error each
+    move ``A`` by a few ``u s_1`` times a modest function of ``d``, so each
+    computed s-number is exact for a matrix within about ``delta = d u s_1``
+    of ``A1`` (Weyl's inequality), likewise ``d u t_1`` for ``A2``.  To
+    first order the ratio ``t_n / s_n`` then moves by at most
+    ``(t_n / s_n)(d u t_1 / t_n + d u s_1 / s_n)``, and the maximum of the
+    ratios by at most the largest such move: on a spectrum graded to 1e-12
+    that is about ``1e12 d u`` relative at the bottom and ``2 d u`` at the
+    top.  The test allows twice it (3000 draws reached 0.70 of it).  The
+    default rcond 1e-12 would sit on the grading's floor and let round-off
+    decide the rank, so both ellipsoids keep every positive s-number
+    (``rcond=0``).  The cover itself is ``C`` times a product of two
+    computed orthonormal bases, so its 2-norm is ``C`` to ``8 d u C`` (the
+    same draws reached ``3.9 d u C``).
+    """
+    a1, a2, s, t = case
+    d, u = s.size, np.finfo(float).eps / 2
+    dmat, c = schmidt_cover(ellipsoid(a1, rcond=0.0), ellipsoid(a2, rcond=0.0))
+    ratio = t / s
+    tol = 2 * float(np.max(ratio * (d * u * t[0] / t + d * u * s[0] / s)))
+    assert abs(c - np.max(ratio)) <= tol
+    assert abs(np.linalg.norm(dmat, 2) - c) <= 8 * d * u * c
+
+
 # positive terms from 1e-100 to 1e101, nonincreasing once sorted; 80 terms
 # reach past the 64-term window
 positive_term = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0), st.integers(-100, 100))

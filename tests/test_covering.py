@@ -29,6 +29,7 @@ from widthlab import (
     kolmogorov_widths,
     prescribed_cover,
     range_equiv,
+    sample,
     scale_ellipsoid,
     schmidt_cover,
     section_spectrum,
@@ -36,6 +37,7 @@ from widthlab import (
     truncate_ellipsoid,
     wot_density_experiment,
 )
+from widthlab import covering
 from widthlab._linalg import nullspace_basis
 from widthlab.covering import MARGIN_BAND, PSD_TOL, RangeEquivalence
 from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, shift_search
@@ -352,9 +354,60 @@ class TestPrescribedCover:
         k = int(np.argmax(singular_spectrum(a).values[: dim - m] / sigma))
         assert abs(rho - rho_ref) <= 8 * math.ulp(rho_ref) * sigma[0] / sigma[k]
 
-    def test_dense_cover_makes_two_factored_svds(self, linalg_calls):
-        # one for the kernel of Y^T A, one for the section; the source's
-        # bases were read before, and the truncation is their leading part
+    @staticmethod
+    def structured_case(kind, seed):
+        """``(A, Y, N)`` with ``A = P diag(s) Q^T`` for Haar-random orthogonal
+        ``P`` and ``Q``: s-numbers graded down to 1e-8 s_1, or ``k`` of them
+        in [0.1, 10] and the rest zero, with ``m < k < dim``."""
+        rng = np.random.default_rng([seed, 5])
+        dim = int(rng.integers(2 if kind == "graded" else 3, 41))
+        m = int(rng.integers(1, min(3, dim - 1 if kind == "graded" else dim - 2) + 1))
+        if kind == "graded":
+            s = np.sort(10.0 ** rng.uniform(-8, 0, size=dim))[::-1]
+        else:
+            s = np.zeros(dim)
+            k = int(rng.integers(m + 1, dim))
+            s[:k] = np.sort(rng.uniform(0.1, 10, size=k))[::-1]
+        p, q = (np.linalg.qr(rng.normal(size=(dim, dim)))[0] for _ in range(2))
+        y = np.linalg.qr(rng.normal(size=(dim, m)))[0]
+        return p @ (s[:, None] * q.T), y, rng.normal(size=(dim, m))
+
+    @pytest.mark.parametrize("kind", ["graded", "rank_deficient"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_structured_dense_generator_matches_the_composed_route(self, kind, seed):
+        # Both routes form their section in floating point, A Z or
+        # A - (A R) R^T, so each sigma_k moves by a few ulps of ||A|| = s_1(A),
+        # not of the section's own top value: when Y cuts the top directions
+        # of a graded A the two differ by up to 1e7, and the bound of the
+        # Gaussian test above reads s_1(A) for sigma_1 (8 ulps of rho times
+        # s_1(A) / sigma_k; 2000 seeds of each kind reach 3.2 and 5.5).  At
+        # the default rcond a rank-deficient A's round-off tail is cut on
+        # both routes.
+        a, y, n = self.structured_case(kind, seed)
+        m = y.shape[1]
+        e = ellipsoid(a)
+
+        def outcome(route):
+            try:
+                return route()[1]
+            except NotCoverableError:
+                return None
+
+        rho = outcome(lambda: prescribed_cover(e, y, n))
+        rho_ref = outcome(lambda: self.composed_route(a, y, n))
+        assert (rho is None) == (rho_ref is None)
+        if rho is None:
+            return
+        target = e.spectrum.values[: e.rank - m]
+        sigma = singular_spectrum(a @ nullspace_basis(y.T @ a)).values[: target.size]
+        k = int(np.argmax(target / sigma))
+        assert abs(rho - rho_ref) <= 8 * math.ulp(rho_ref) * target[0] / sigma[k]
+
+    def test_dense_cover_makes_two_factored_svds(self, linalg_calls, monkeypatch):
+        # one thin SVD of Y^T A for its row space R, one of the section
+        # A - (A R) R^T; the source's bases were read before, and the
+        # truncation is their leading part.  No kernel basis is built.
+        monkeypatch.setattr(covering, "nullspace_basis", None)
         rng = np.random.default_rng(22)
         e = ellipsoid(rng.normal(size=(20, 20)))
         assert e.span_basis.shape == (20, 20)
@@ -422,6 +475,56 @@ class TestDichotomyExperiment:
         # monomial, which the SVD entry point decomposes exactly
         wot_density_experiment(Geometric(0.5), 2, (8, 16, 128), seed=3)
         assert linalg_calls == {"svd": 0, "svd_uv": 0, "eigvalsh": 0}
+
+    # the benchmark's tower grid, constraint counts 0 to 3
+    TOWER_MODELS = (Geometric(0.3), Geometric(0.5), Geometric(0.8), Power(1.0), Power(2.5),
+                    SuperGeometric(1.5), SuperGeometric(1.2))
+    TOWER_DIMS = (8, 12, 16, 24, 32, 40, 48, 56, 64, 80, 96, 128)
+
+    @staticmethod
+    def tower_draw(d, m, seed):
+        """The constraints ``(Y, N)`` that the tower draws at dimension ``d``."""
+        rng = np.random.default_rng([seed, d])
+        if not m:
+            return np.zeros((d, 0)), np.zeros((d, 0))
+        pool = d - m if d - m >= m else d - 1
+        y = np.zeros((d, m))
+        y[np.sort(rng.choice(pool, size=m, replace=False)), np.arange(m)] = 1.0
+        return y, rng.normal(size=(d, m))
+
+    def test_every_tower_point_is_the_public_cover_bitwise(self):
+        # the tower reads rho and the residual off the cover's factors; both
+        # must be the bits prescribed_cover's D and rho give on the same draw
+        points = 0
+        for model in self.TOWER_MODELS:
+            for m in range(4):
+                for d in self.TOWER_DIMS:
+                    try:
+                        terms = sample(model, d)
+                    except InputError:
+                        break
+                    rep = wot_density_experiment(model, m, [d], 7)
+                    y, n = self.tower_draw(d, m, 7)
+                    dmat, rho = prescribed_cover(ellipsoid(np.diag(terms), rcond=0.0), y, n)
+                    residual = float(np.max(np.abs(dmat @ y - n))) if m else 0.0
+                    assert rep.rho[0].hex() == rho.hex(), (model, m, d)
+                    assert rep.constraint_residuals[0].hex() == residual.hex(), (model, m, d)
+                    points += 1
+        assert points == 296
+
+    def test_memory_stays_small(self, monkeypatch):
+        # a point holds the generator and its two bases, the section and its
+        # two factors: about 6 d x d arrays; it forms no kernel basis and no
+        # A Z, and it reads the cover's factors instead of prescribed_cover's D
+        monkeypatch.setattr(covering, "prescribed_cover", None)
+        d = 256
+        tracemalloc.start()
+        try:
+            wot_density_experiment(Geometric(0.8), 3, [d], 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * d**2
 
     def test_no_constraints_full_yield(self):
         rep = wot_density_experiment(Geometric(0.5), 0, (4, 8), seed=11)
