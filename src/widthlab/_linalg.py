@@ -1,6 +1,6 @@
-"""The SVD, the rank cutoff and the kernel basis it decides, the
-Gram-matrix norm, the PSD margin, the Gram-Schmidt step and the
-power-of-two rescale that every verdict rests on.
+"""The SVD, the rank cutoff and the kernel basis it decides, the section
+of an ellipsoid by a subspace, the Gram-matrix norm, the PSD margin, the
+Gram-Schmidt step and the power-of-two rescale that every verdict rests on.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -85,11 +85,15 @@ def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND) -> int:
-    """Number of nonincreasing singular values above ``rcond * s_1``."""
+def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND, top: float | None = None) -> int:
+    """Number of nonincreasing singular values above ``rcond * top``.  The
+    reference scale ``top`` is ``s_1 = values[0]`` unless given: values
+    derived from a matrix ``A``, as in :func:`section_svd`, are cut at
+    ``s_1(A)``, the scale of their round-off."""
     if values.size == 0:
         return 0
-    return int(np.count_nonzero(values > max(rcond * values[0], 0.0)))
+    top = values[0] if top is None else top
+    return int(np.count_nonzero(values > max(rcond * top, 0.0)))
 
 
 def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
@@ -97,7 +101,7 @@ def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     return rank_from_values(svd(m, compute_uv=False), rcond)
 
 
-def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
+def nullspace_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(m) as columns: the right singular vectors
     beyond :func:`rank`.
 
@@ -108,7 +112,34 @@ def nullspace_basis(m: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     # only a wide matrix needs full factors; a tall matrix's full u can be huge
     _, sv, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[rank_from_values(sv, rcond):].T
+    return vh[rank_from_values(sv):].T
+
+
+def section_svd(a: np.ndarray, y: np.ndarray, s1: float, rcond: float, compute_uv: bool = True):
+    """The section ``A(B) ∩ Y⊥`` of the ellipsoid of ``a``, whose largest
+    singular value is ``s1``: its left singular vectors, values and rank
+    as ``(u, s, rank)``, or ``(s, rank)`` unless ``compute_uv``.
+
+    The section is ``A`` on ``ker(Y^T A)``: its nonzero singular pairs are
+    those of ``A - (A R) R^T``, where ``R`` is the row-space basis of
+    ``Y^T A`` from one thin SVD of that block.  No kernel basis and no
+    ``A Z`` is formed.  The ``rank(Y^T A)`` extra values, zero up to
+    round-off, are cut off: the first ``min(rows, cols - rank(Y^T A))`` are
+    kept, as many as ``A`` has on the kernel.  Both ranks count the values
+    above ``rcond * s1``: the round-off of ``Y^T A`` and of the section is
+    of order ``eps * s1``, which a cutoff relative to their own top values
+    would count as rank when ``Y`` misses or cuts ``A``'s top directions.
+    """
+    _, s_row, vh = svd(y.T @ a)
+    r = vh[: rank_from_values(s_row, rcond, s1)].T
+    section = (a @ r) @ r.T
+    np.subtract(a, section, out=section)
+    keep = min(a.shape[0], a.shape[1] - r.shape[1])
+    if not compute_uv:
+        s = svd(section, compute_uv=False)[:keep]
+        return s, rank_from_values(s, rcond, s1)
+    u, s, _ = svd(section)
+    return u[:, :keep], s[:keep], rank_from_values(s[:keep], rcond, s1)
 
 
 def extend_orthonormal(basis: list, v: np.ndarray) -> bool:

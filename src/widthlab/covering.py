@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
-from ._linalg import rank_from_values, svd
+from ._linalg import rank_from_values, section_svd, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow
 from .seqlab import SequenceModel, is_lacunary, sample
@@ -147,16 +147,11 @@ def _prescribed_factors(e: Ellipsoid, y, n):
     its norm-one Schmidt cover ``D0 = U_tgt U_sec^T``, as
     ``(y, n, U_tgt, U_sec, C)`` with the yield ``rho = 1/C``.
 
-    The section ``K ∩ Y⊥`` is ``A`` on ``ker(Y^T A)``, so its nonzero
-    singular pairs are those of ``A (I - R R^T) = A - (A R) R^T``, where
-    ``R`` is the row-space basis of ``Y^T A`` from one thin SVD of that
-    ``m x dom`` block.  That product carries ``rank(Y^T A)`` more values,
-    zero up to round-off, than ``A`` on the kernel, and needs no cut: only
-    the leading ``rank - m <= dom - rank(Y^T A)`` pairs are read, and a
-    source rank short of ``rank - m`` leaves every later value under the
-    cutoff too, so the source rank that :class:`NotCoverableError` reports
-    is that of ``A`` on the kernel.  The truncated target is ``e``'s own
-    leading ``rank - m`` singular pairs, as
+    The section ``K ∩ Y⊥`` and its left singular vectors come from
+    :func:`~widthlab._linalg.section_svd`, the kernel behind
+    :func:`~widthlab.spectra.section_spectrum` too, with its rank: the
+    values above ``rcond * s_1(A)``.  The truncated target is
+    ``e``'s own leading ``rank - m`` singular pairs, as
     :func:`~widthlab.spectra.truncate_ellipsoid` would give them.
     """
     amb, a = e.ambient_dim, e.generator
@@ -170,15 +165,9 @@ def _prescribed_factors(e: Ellipsoid, y, n):
     if m:
         n = as_operator(n, "prescribed images")
 
-    _, s_row, vh = svd(y.T @ a)
-    r = rank_from_values(s_row, e.rcond)
-    rows = vh[:r].T
-    section = (a @ rows) @ rows.T
-    np.subtract(a, section, out=section)
-    u_sec, s_sec, _ = svd(section)
+    u_sec, s_sec, r1 = section_svd(a, y, e.spectrum.values[0], e.rcond)
     u_tgt, u_sec, c = _schmidt_factors(
-        s_sec[: rank_from_values(s_sec, e.rcond)], e.spectrum.values[: e.rank - m],
-        (amb, amb), lambda: (u_sec, e.span_basis),
+        s_sec[:r1], e.spectrum.values[: e.rank - m], (amb, amb), lambda: (u_sec, e.span_basis),
     )
     return y, n, u_tgt, u_sec, c
 
@@ -199,9 +188,9 @@ def prescribed_cover(e: Ellipsoid, y, n) -> tuple[np.ndarray, float]:
     the residual follows the orthonormality defect of ``y``, which the
     subspace check lets reach ``ORTHO_TOL`` in each entry of ``y^T y - I``.
 
-    The section's s-numbers and span basis come from one factored SVD of
-    ``A - (A R) R^T`` (``R`` a row-space basis of ``Y^T A``, from a thin
-    SVD of that block), and the truncation is ``e``'s own leading
+    The section's s-numbers and span basis come from one thin SVD of
+    ``Y^T A`` and one factored SVD of ``A - (A R) R^T`` (``R`` the row-space
+    basis of ``Y^T A``), and the truncation is ``e``'s own leading
     ``rank - m`` singular pairs.  ``D = U_tgt U_sec^T`` is formed once and
     takes the rank-``m`` update ``N Y^T - D0 Y Y^T`` in place.
     """

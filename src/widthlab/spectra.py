@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, monomial_svd, nullspace_basis, rank_from_values, svd
+from ._linalg import RANK_RCOND, monomial_svd, rank_from_values, section_svd, svd
 from .errors import InputError, as_columns, as_operator, as_subspace, check_integer, check_positive
 from .errors import check_no_overflow, check_spectrum, frozen
 
@@ -197,16 +197,19 @@ def section_spectrum(e: Ellipsoid, y) -> SingularSpectrum:
     ``(ambient_dim, 0)`` array means no constraint).  The section equals the
     image of the unit ball of ``ker(Y^T A)`` under the generator ``A``, so
     its s-numbers are those of ``A`` composed with an orthonormal kernel
-    basis.  They interlace: ``s_{n+m}(A) <= sigma_n <= s_n(A)`` for a
-    section of codimension ``m``.
+    basis, ``min(ambient_dim, domain_dim - rank(Y^T A))`` of them.  They
+    interlace: ``s_{n+m}(A) <= sigma_n <= s_n(A)`` for a section of
+    codimension ``m``.  :func:`~widthlab._linalg.section_svd` gives them
+    from a values-only SVD, with no kernel basis formed.  Their round-off
+    is of order ``eps * s_1(A)``, so the rank counts the values above
+    ``rcond * s_1(A)``, the generator's top s-number, not the section's;
+    so does the rank of ``Y^T A``.
     """
     yarr = as_subspace(y, e.ambient_dim, "section subspace")
     if yarr.shape[1] == 0:
         return e.spectrum
-    kernel = nullspace_basis(yarr.T @ e.generator, rcond=e.rcond)
-    if kernel.shape[1] == 0:
-        return SingularSpectrum(values=np.zeros(0), rank=0)
-    return singular_spectrum(e.generator @ kernel, rcond=e.rcond)
+    values, rank = section_svd(e.generator, yarr, e.spectrum.values[0], e.rcond, compute_uv=False)
+    return SingularSpectrum(values=values, rank=rank)
 
 
 def truncate_ellipsoid(e: Ellipsoid, r: int) -> Ellipsoid:

@@ -416,6 +416,17 @@ class TestPrescribedCover:
         prescribed_cover(e, y, rng.normal(size=(20, 2)))
         assert linalg_calls == {"svd": 0, "svd_uv": 2, "eigvalsh": 0}
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_constraint_orthogonal_to_the_range_keeps_the_full_yield(self, seed):
+        # Y^T A is round-off alone, so the section is K itself and its
+        # Schmidt cover onto the truncation has norm 1; cut at its own top
+        # value, that round-off counted as rank and the yield fell to 0.5-1
+        rng = np.random.default_rng(seed)
+        q, p = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+        e = ellipsoid(q @ np.diag([1.0, 0.5, 0.25, 0.0]) @ p)
+        _, rho = prescribed_cover(e, q[:, 3:], rng.normal(size=(4, 1)))
+        assert abs(rho - 1.0) <= 8 * np.finfo(float).eps
+
     def test_constraint_dimension_capped(self):
         e = ellipsoid(np.diag([1.0, 0.5]))
         with pytest.raises(InputError, match="below the rank"):

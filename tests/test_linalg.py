@@ -44,16 +44,15 @@ def test_monomial_branch_is_exact(a, full_matrices):
 @settings(max_examples=200, deadline=None)
 @given(monomial())
 def test_monomial_kernels_are_exact_coordinate_vectors(a):
-    # with no cutoff the kernel is exactly the span of the zero columns
-    basis = nullspace_basis(a, rcond=0.0)
-    assert basis.shape == (a.shape[1], a.shape[1] - np.count_nonzero(a))
-    np.testing.assert_array_equal(a @ basis, 0.0)
-    np.testing.assert_array_equal(basis.T @ basis, np.eye(basis.shape[1]))
-    # the default cutoff adds the columns whose entry sits below it
+    # the kernel is exactly the span of the coordinate vectors of the
+    # columns whose entry is zero or sits at or below the cutoff
     s = svd(a, compute_uv=False)
     basis = nullspace_basis(a)
-    assert basis.shape[1] == a.shape[1] - rank(a)
-    np.testing.assert_array_equal(basis.T @ basis, np.eye(basis.shape[1]))
+    small = np.flatnonzero(np.abs(a).max(axis=0) <= RANK_RCOND * s[0])
+    assert basis.shape == (a.shape[1], a.shape[1] - rank(a)) == (a.shape[1], small.size)
+    assert np.isin(basis, (0.0, 1.0)).all()
+    np.testing.assert_array_equal(basis.T @ basis, np.eye(small.size))
+    np.testing.assert_array_equal(np.sort(np.argmax(basis, axis=0)), small)
     if basis.size:
         assert np.abs(a @ basis).max() <= RANK_RCOND * s[0]
 

@@ -2,6 +2,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     InputError,
@@ -150,17 +152,95 @@ class TestSections:
         np.testing.assert_array_equal(sec.values, e.spectrum.values)
 
     def test_interlacing_random(self):
+        # Gaussian generators, then generators graded down to 1e-12
         rng = np.random.default_rng(17)
-        for _ in range(25):
-            a = rng.normal(size=(6, 6))
-            e = ellipsoid(a)
-            y = np.linalg.qr(rng.normal(size=(6, 2)))[0]
-            sec = section_spectrum(e, y)
-            s = e.spectrum
-            slack = 1e-9 * s.s(1)
-            for n in range(1, len(sec) + 1):
-                assert sec.s(n) <= s.s(n) + slack
-                assert sec.s(n) >= s.s(n + 2) - slack
+        for graded in (False, True):
+            for _ in range(25):
+                if graded:
+                    s = np.sort(10.0 ** rng.uniform(-12, 0, size=6))[::-1]
+                    a = random_orthogonal(rng, 6) @ (s[:, None] * random_orthogonal(rng, 6))
+                else:
+                    a = rng.normal(size=(6, 6))
+                e = ellipsoid(a)
+                y = np.linalg.qr(rng.normal(size=(6, 2)))[0]
+                sec = section_spectrum(e, y)
+                s = e.spectrum
+                slack = 1e-9 * s.s(1)
+                for n in range(1, len(sec) + 1):
+                    assert sec.s(n) <= s.s(n) + slack
+                    assert sec.s(n) >= s.s(n + 2) - slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.sampled_from([0.0, RANK_RCOND]), st.data())
+    def test_diagonal_section_drops_the_constrained_terms_exactly(self, d, rcond, data):
+        # coordinate constraints on a diagonal generator: the section keeps
+        # the other terms, and each constrained term that Y^T A's rank cut
+        # counts as zero (a zero term, or one at or below rcond * s_1(A))
+        terms = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-1e300, 1e300)), min_size=d, max_size=d)))
+        cut = np.array(data.draw(st.permutations(range(d)))[: data.draw(st.integers(0, d))], dtype=int)
+        y = np.zeros((d, cut.size))
+        y[cut, np.arange(cut.size)] = 1.0
+        left = np.delete(terms, cut[np.abs(terms[cut]) > rcond * np.abs(terms).max()])
+        sec = section_spectrum(ellipsoid(np.diag(terms), rcond=rcond), y)
+        assert sec.values.tobytes() == np.sort(np.abs(left))[::-1].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.integers(2, 8), st.data())
+    def test_section_rank_stays_within_the_generator_and_the_complement(self, amb, dom, data):
+        # the section lies in range(A) ∩ Y⊥; its round-off, of order
+        # eps * s_1(A), must not count as rank when Y cuts A's top directions
+        m = data.draw(st.integers(1, amb - 1))
+        r = data.draw(st.integers(1, min(amb, dom) - 1))
+        s = np.zeros(min(amb, dom))
+        s[:r] = np.sort(10.0 ** np.array(data.draw(st.lists(
+            st.floats(-9, 0), min_size=r, max_size=r))))[::-1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        p = random_orthogonal(rng, amb)[:, : s.size]
+        q = random_orthogonal(rng, dom)[:, : s.size]
+        e = ellipsoid(p @ (s[:, None] * q.T))
+        y = np.linalg.qr(rng.normal(size=(amb, m)))[0]
+        assert section_spectrum(e, y).rank <= min(e.rank, amb - m)
+
+    def test_round_off_of_a_cut_top_direction_is_not_rank(self):
+        # Y cuts A's top direction, so the section lies in the line Y⊥; its
+        # second value is round-off, above the section's own cutoff
+        # 1e-12 * 1e-6 but far below the generator's 1e-12 * s_1(A)
+        rng = np.random.default_rng(0)
+        q, p = random_orthogonal(rng, 2), random_orthogonal(rng, 3)
+        a = q @ np.array([[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0]]) @ p
+        sec = section_spectrum(ellipsoid(a), q[:, :1])
+        assert len(sec) == 2 and sec.rank == 1
+        assert sec.s(1) == pytest.approx(1e-6, rel=1e-9)
+        assert sec.s(2) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_subspace_orthogonal_to_the_range_cuts_nothing(self, seed):
+        # Y^T A is round-off alone, so K ∩ Y⊥ = K; cut at its own top value,
+        # that round-off counted as rank and removed a random direction
+        rng = np.random.default_rng(seed)
+        q, p = random_orthogonal(rng, 3), random_orthogonal(rng, 3)
+        e = ellipsoid(q @ np.diag([1.0, 0.5, 0.0]) @ p)
+        sec = section_spectrum(e, q[:, 2:])
+        assert len(sec) == 3 and sec.rank == 2
+        np.testing.assert_allclose(sec.values, e.spectrum.values, rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_dense_section_makes_one_thin_and_one_values_only_svd(self, monkeypatch):
+        # the factored SVD of the m x d block Y^T A gives its row space; the
+        # section's values come without its vectors, and no full factor of a
+        # wide block is formed
+        rng = np.random.default_rng(64)
+        e = ellipsoid(rng.normal(size=(64, 64)))
+        y = np.linalg.qr(rng.normal(size=(64, 3)))[0]
+        calls, real_svd = [], np.linalg.svd
+
+        def svd(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+            calls.append((a.shape, full_matrices, compute_uv))
+            return real_svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        section_spectrum(e, y)
+        assert calls == [((3, 64), False, True), ((64, 64), False, False)]
 
     def test_rejects_non_orthonormal(self):
         e = ellipsoid(np.diag([3.0, 2.0, 1.0]))
