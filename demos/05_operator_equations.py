@@ -45,11 +45,17 @@ cert = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 2]], [e[:, 3]], eps=1e-6)
 print("\nmatch: residuals", cert.x_residuals, cert.y_residuals,
       " condition", round(cert.condition, 3))
 
-# Constraints that repeat each other (V e0 = e1 is also V^-1 e1 = e0) leave
-# the stacked systems dependent, so the targets are nudged: each moves by
-# eps/4 along a kernel direction orthogonal to what is already fixed.
-nudged = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=1e-3)
-print("nudged match: residuals", [round(r / 1e-3, 6) for r in nudged.x_residuals + nudged.y_residuals],
+# Constraints that repeat each other (V e0 = e1 is also V^-1 e1 = e0) are
+# consistent: the swap of e0 and e1 meets both, and it is found with no
+# perturbation, at any eps the round-off of V allows.
+swap = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=1e-12)
+print("swap: residuals", swap.x_residuals + swap.y_residuals, " condition", round(swap.condition, 3))
+
+# Constraints that contradict each other (V e0 = e1 and V^-1 e1 = e3 send
+# both e0 and e3 to e1) lift each target once by eps/4 off the vectors
+# fixed on its side, which the rank rule sees while eps/4 is above its cutoff.
+lifted = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 3]], eps=1e-3)
+print("lifted match: residuals", [round(r / 1e-3, 6) for r in lifted.x_residuals + lifted.y_residuals],
       "x eps")
 
 # Twisting the factorization toward X0 = Y0 = I on a test vector while the

@@ -1,6 +1,8 @@
-"""The SVD, the rank cutoff and the kernel basis it decides, the section
-of an ellipsoid by a subspace, the Gram-matrix norm, the PSD margin, the
-Gram-Schmidt step and the power-of-two rescale that every verdict rests on.
+"""The SVD, the one rank rule that decides every "is this direction there",
+the section of an ellipsoid by a subspace, the Gram-matrix norm, the PSD
+margin and the power-of-two rescale that every verdict rests on.  Kernels,
+complements and projections are read off the singular vectors beyond or
+within the rank that rule decides.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -12,7 +14,6 @@ from .errors import check_no_overflow
 
 # Singular values below RANK_RCOND * s_1 count as zero for rank decisions.
 RANK_RCOND = 1e-12
-INDEPENDENCE_TOL = 1e-10  # v depends on an orthonormal set if its part off it is <= this * ||v||
 
 
 def monomial_svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
@@ -101,20 +102,6 @@ def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     return rank_from_values(svd(m, compute_uv=False), rcond)
 
 
-def nullspace_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m) as columns: the right singular vectors
-    beyond :func:`rank`.
-
-    The kernel of a monomial ``m``, such as an axis-aligned constraint
-    block, comes out as exact coordinate vectors (see :func:`svd`), which
-    the diagonal-model experiments rely on.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    # only a wide matrix needs full factors; a tall matrix's full u can be huge
-    _, sv, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vh[rank_from_values(sv):].T
-
-
 def section_svd(a: np.ndarray, y: np.ndarray, s1: float, rcond: float, compute_uv: bool = True):
     """The section ``A(B) ∩ Y⊥`` of the ellipsoid of ``a``, whose largest
     singular value is ``s1``: its left singular vectors, values and rank
@@ -140,20 +127,6 @@ def section_svd(a: np.ndarray, y: np.ndarray, s1: float, rcond: float, compute_u
         return s, rank_from_values(s, rcond, s1)
     u, s, _ = svd(section)
     return u[:, :keep], s[:keep], rank_from_values(s[:keep], rcond, s1)
-
-
-def extend_orthonormal(basis: list, v: np.ndarray) -> bool:
-    """Append to the orthonormal vectors ``basis`` the unit part of ``v``
-    orthogonal to them (one modified Gram-Schmidt step); return False, and
-    append nothing, when ``v`` depends on them under ``INDEPENDENCE_TOL``."""
-    w = np.array(v, dtype=float)
-    for q in basis:
-        w -= (q @ w) * q
-    nrm = np.linalg.norm(w)
-    if nrm <= INDEPENDENCE_TOL * np.linalg.norm(v):
-        return False
-    basis.append(w / nrm)
-    return True
 
 
 def gram_top(g: np.ndarray) -> float:

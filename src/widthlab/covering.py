@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, extend_orthonormal, gram_top, nullspace_basis, pow2_scaled, psd_margin, rank
+from ._linalg import RANK_RCOND, gram_top, pow2_scaled, psd_margin, rank
 from ._linalg import rank_from_values, section_svd, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow
@@ -277,25 +277,29 @@ def find_separating_projection(t_list) -> np.ndarray:
     found is minimal only in the best-effort sense.
     """
     mats = as_square([(f"t_list[{i}]", t) for i, t in enumerate(t_list)])
-    d = mats[0].shape[0]
+    d, k = mats[0].shape[0], len(mats)
     stacked = np.stack([t.reshape(-1) for t in mats])
-    combos = nullspace_basis(stacked.T)
-    if combos.shape[1]:
-        coeffs = combos[:, 0]
-        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(coeffs) if abs(c) > RANK_RCOND)
+    # more operators than entries leave the thin right factor short of ker
+    _, sv, combos = svd(stacked.T, full_matrices=d * d < k)
+    r = rank_from_values(sv)
+    if r < k:
+        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(combos[r]) if abs(c) > RANK_RCOND)
         raise InputError(f"operators are linearly dependent: {terms} = 0")
 
     factors = [(u, rank_from_values(sv)) for u, sv, _ in map(svd, mats)]
     pool = [u[:, level] for level in range(d) for u, r in factors if level < r]
 
-    q_cols: list[np.ndarray] = []
+    kept = np.empty((d, 0))
     for cand in pool:
-        if not extend_orthonormal(q_cols, cand):
+        trial = np.column_stack([kept, cand])
+        u, sv, _ = svd(trial)
+        r = rank_from_values(sv)
+        if r == kept.shape[1]:
             continue
-        q = np.column_stack(q_cols)
-        p = q @ q.T
+        kept = trial
+        p = u[:, :r] @ u[:, :r].T
         proj = np.stack([(p @ t).reshape(-1) for t in mats])
-        if rank(proj) == len(mats):
+        if rank(proj) == k:
             return p
     raise WidthlabError("internal: projection onto the joint range failed the rank test")
 

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._linalg import nullspace_basis, pow2_scaled, rank, rank_from_values, svd
+from ._linalg import RANK_RCOND, pow2_scaled, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
 from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, frozen
 
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
-_WELL_POSED_RCOND = 1e-8  # a constraint system short of full rank at this cutoff is nudged
 
 
 def _relative_residual(b: np.ndarray, *factors: np.ndarray) -> float:
@@ -159,28 +158,52 @@ def factor_pair(b) -> SolutionPair:
     return SolutionPair(x, y, _relative_residual(b, x, y))
 
 
-def _orthogonal_direction(span_cols: np.ndarray, align_to: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to the given columns, sign-aligned with
-    ``align_to`` so adding it can never cancel the existing component.
+def _matching_maps(dom: np.ndarray, img: np.ndarray):
+    """``(V, V^-1)`` with ``V dom = img`` up to round-off, or ``None`` when
+    ``dom`` and ``img`` do not share their column relations.
 
-    It is the first column of the kernel basis of ``span_cols^T``, which has
-    one whenever the span is not the whole space.  Any such direction serves:
-    ``t + c r`` with ``c > 0``, ``t . r >= 0`` has a part ``>= c`` off the span.
+    They share them when their ranks agree and ``img`` vanishes on
+    ``ker(dom)``, both under the rank rule (the latter at ``s_1(img)``).
+    Then ``V`` is ``img dom^+`` on ``range(dom)`` plus an isometry from
+    ``range(dom)⊥`` onto ``range(img)⊥``, and ``V^-1`` is built the same
+    way from ``img``, from one full SVD of each stack.
     """
-    v = nullspace_basis(span_cols.T)[:, 0]
-    return -v if float(align_to @ v) < 0 else v
+    f_dom, f_img = svd(dom, full_matrices=True), svd(img, full_matrices=True)
+    r = rank_from_values(f_dom[1])
+    if rank_from_values(f_img[1]) != r:
+        return None
+    if rank_from_values(svd(img @ f_dom[2][r:].T, compute_uv=False), top=f_img[1][0]):
+        return None
+
+    def onto(b, f_a, u_b):  # b a^+ on range(a), then range(a)⊥ -> range(b)⊥
+        u, s, wh = f_a
+        return (b @ (wh[:r].T / s[:r])) @ u[:, :r].T + u_b[:, r:] @ u[:, r:].T
+
+    return onto(img, f_dom, f_img[0]), onto(dom, f_img, f_dom[0])
+
+
+def _lifted(targets: np.ndarray, fixed: np.ndarray, step: float) -> np.ndarray:
+    """``targets + step * C U W^T``, where ``C`` is an orthonormal basis of
+    ``range(fixed)⊥`` and ``U S W^T`` the thin SVD of ``C^T targets``: each
+    target moves by exactly ``step``, and the parts of the moved targets off
+    ``range(fixed)``, ``C U (S + step) W^T``, have no singular value below
+    ``step``."""
+    c = svd(fixed, full_matrices=True)[0][:, fixed.shape[1]:]
+    u, _, wh = svd(c.T @ targets)
+    return targets + step * (c @ (u @ wh))
 
 
 def match_invertible(xs, xs_target, ys, ys_target, eps: float) -> MatchCertificate:
     """Invertible ``V`` with ``||V x_i - x_i'|| < eps`` and
     ``||V^{-1} y_j - y_j'|| < eps``.
 
-    The targets are first tried verbatim; if either stacked system is
-    (nearly) dependent, they are nudged by ``eps/4`` along unit directions
-    orthogonal to the spans already present.  ``V`` maps the span of
-    ``(x_i, w_j)`` onto the span of ``(z_i, y_j)`` by construction and a
-    bijection between the two orthogonal complements completes it to an
-    invertible operator.
+    ``V`` must map ``dom = [x, y']`` onto ``img = [x', y]``, which a
+    consistent system (the two stacks share their column relations under
+    the rank rule) allows exactly: ``V`` is ``img dom^+`` on ``range(dom)``
+    and an isometry between the orthogonal complements.  An inconsistent
+    system moves each side's targets once by ``eps/4`` off that side's fixed
+    vectors (``y'`` off ``span(x)``, ``x'`` off ``span(y)``), which makes
+    both stacks of full rank; a move the rank cutoff cannot see is refused.
     """
     check_positive(eps, "eps")
     x = as_columns(xs, None, "xs")
@@ -200,28 +223,15 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float) -> MatchCertifica
     if d < n + m:
         raise InputError(f"ambient dimension {d} below |xs| + |ys| = {n + m}")
 
-    def well_posed(mat: np.ndarray) -> bool:
-        return rank(mat, _WELL_POSED_RCOND) == mat.shape[1]
-
-    z, w = xt.copy(), yt.copy()
-    if not (well_posed(np.hstack([x, w])) and well_posed(np.hstack([z, yv]))):
-        # nudge every target by eps/4 off the span of what is already fixed
-        z, w = np.empty_like(xt), np.empty_like(yt)
-        for j in range(m):
-            r = _orthogonal_direction(np.hstack([x, w[:, :j]]), yt[:, j])
-            w[:, j] = yt[:, j] + 0.25 * eps * r
-        for i in range(n):
-            r = _orthogonal_direction(np.hstack([yv, z[:, :i]]), xt[:, i])
-            z[:, i] = xt[:, i] + 0.25 * eps * r
-
-    dom = np.hstack([x, w])
-    img = np.hstack([z, yv])
-    f_dom = np.hstack([dom, nullspace_basis(dom.T)])
-    f_img = np.hstack([img, nullspace_basis(img.T)])
-    if f_dom.shape != (d, d) or f_img.shape != (d, d):
-        raise InfeasibleError("perturbed constraint systems are still degenerate")
-    v = f_img @ np.linalg.inv(f_dom)
-    v_inv = f_dom @ np.linalg.inv(f_img)
+    maps = _matching_maps(np.hstack([x, yt]), np.hstack([xt, yv]))
+    if maps is None:
+        step = 0.25 * eps
+        maps = _matching_maps(np.hstack([x, _lifted(yt, x, step)]), np.hstack([_lifted(xt, yv, step), yv]))
+        if maps is None:
+            raise InfeasibleError(
+                f"constraint systems stay dependent after moving each target by eps/4 = {step:g}: "
+                f"the move lies below the rank cutoff {RANK_RCOND:g} * s_1")
+    v, v_inv = maps
     rx = tuple(float(np.linalg.norm(v @ x[:, i] - xt[:, i])) for i in range(n))
     ry = tuple(float(np.linalg.norm(v_inv @ yv[:, j] - yt[:, j])) for j in range(m))
     worst = max(rx + ry)

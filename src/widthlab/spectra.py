@@ -233,12 +233,17 @@ def truncate_ellipsoid(e: Ellipsoid, r: int) -> Ellipsoid:
 
 
 def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
-    """The ellipsoid ``c * K``, generated by ``c`` times the generator."""
+    """The ellipsoid ``c * K``, generated by ``c`` times the generator.
+
+    A scale that rounds an s-number within the rank to zero is refused, as
+    one that overflows is: the rank would count a value that is gone."""
     check_positive(c, "scale")
     with np.errstate(over="ignore"):  # reported just below
         generator, values = c * e.generator, c * e.spectrum.values
     check_no_overflow(generator, "scaled generator entries")
     check_no_overflow(values, "scaled singular values")
+    if e.rank and values[e.rank - 1] == 0.0:
+        raise InputError("scaled singular values underflow double precision; rescale the input")
     return Ellipsoid(generator, SingularSpectrum(values=values, rank=e.rank), e.rcond)
 
 

@@ -71,8 +71,9 @@ def command_table(d: Path) -> dict:
                            "--seed": ["0", "7"]}),
         "solve-xay": ([], {"--a": mat, "--b": mat}),
         "factor": ([], {"--b": mat}),
-        # first: V e0 = e1 and V^-1 e1 = e0, which must be nudged (demo 05);
-        # e0 -> e1 with e2 -> e3 is well posed
+        # first: V e0 = e1 and V^-1 e1 = e0, a consistent repeat that the
+        # swap of e0 and e1 meets with no lift (demo 05); e0 -> e1 with
+        # e2 -> e3 is well posed, e0 -> e1 with e1 -> e3 needs the lift
         "match-inv": ([], {"--xs": [col[0], col[1], mat[5], mat[7]],
                            "--xs-target": [col[1], col[0], mat[6], mat[8]],
                            "--ys": [col[1], col[2], mat[6]], "--ys-target": [col[0], col[3], mat[8]],
@@ -125,6 +126,44 @@ def test_no_module_imports_private_names_of_another():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+# every module-level float cutoff below 1e-2 in the package, by module, name
+# and value: adding, merging or deleting a cutoff shows in this table's diff
+TOLERANCES = {
+    ("_linalg.py", "RANK_RCOND"): 1e-12,
+    ("covering.py", "MARGIN_BAND"): 1e-6,
+    ("covering.py", "RANGE_TOL"): 1e-9,
+    ("equations.py", "_RESIDUAL_TOL"): 1e-9,
+    ("errors.py", "ORTHO_TOL"): 1e-9,
+    ("errors.py", "PSD_TOL"): 1e-9,
+    ("rigid.py", "_RATIO_TOL"): 1e-12,
+    ("seqlab.py", "RATIO_THRESHOLD"): 1e-3,
+    ("seqlab.py", "MIN_TERM"): 1e-300,
+    ("seqlab.py", "_SHAPE_RTOL"): 1e-12,
+    ("spectra.py", "MEMBERSHIP_TOL"): 1e-9,
+}
+
+
+def module_tolerances(source: str) -> dict:
+    """Module-level UPPER_CASE names (a leading underscore allowed) bound
+    to a float literal below 1e-2, with their values."""
+    return {t.id: node.value.value for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, float) and node.value.value < 1e-2
+            for t in node.targets if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()}
+
+
+def test_tolerance_inventory():
+    found = {(path.name, name): value for path in sorted(PACKAGE.glob("*.py"))
+             for name, value in module_tolerances(path.read_text()).items()}
+    assert found == TOLERANCES
+
+
+def test_tolerance_scan_finds_exactly_the_small_upper_case_floats():
+    source = ("X_TOL = 1e-3\n_Y = 2e-9\nlower = 1e-9\nBIG = 0.5\nN = 0\nS = 'x'\n"
+              "def f():\n    Z_TOL = 1e-9\n")
+    assert module_tolerances(source) == {"X_TOL": 1e-3, "_Y": 2e-9}
 
 
 # modules whose every public name other modules may import: the shared

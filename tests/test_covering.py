@@ -38,9 +38,16 @@ from widthlab import (
     wot_density_experiment,
 )
 from widthlab import covering
-from widthlab._linalg import nullspace_basis
+from widthlab._linalg import RANK_RCOND
 from widthlab.covering import MARGIN_BAND, PSD_TOL, RangeEquivalence
 from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, shift_search
+
+
+def kernel_basis(m):
+    """Orthonormal basis of ``ker(m)``: the right singular vectors of
+    numpy's own full SVD beyond the values above ``RANK_RCOND * s_1``."""
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    return vh[np.count_nonzero(s > RANK_RCOND * s[0]):].T
 
 
 def random_contraction(rng, rows, cols):
@@ -313,12 +320,14 @@ class TestPrescribedCover:
             assert residual >= bound / 4
 
     @staticmethod
-    def composed_route(a, y, n):
+    def composed_route(a, y, n, kernel=None):
         """``prescribed_cover`` spelled with public calls: the Schmidt cover
-        from the section ellipsoid onto the truncation, applied off ``Y``."""
+        from the section ellipsoid ``A Z`` onto the truncation, applied off
+        ``Y``.  ``Z`` is ``kernel``, a basis of ``ker(Y^T A)``, or else
+        :func:`kernel_basis` of it."""
         e = ellipsoid(a)
         m = y.shape[1]
-        section = ellipsoid(a @ nullspace_basis(y.T @ a))
+        section = ellipsoid(a @ (kernel_basis(y.T @ a) if kernel is None else kernel))
         d_schmidt, c = schmidt_cover(section, truncate_ellipsoid(e, e.rank - m))
         return n @ y.T + (d_schmidt / c) @ (np.eye(a.shape[0]) - y @ y.T), 1.0 / c
 
@@ -332,7 +341,8 @@ class TestPrescribedCover:
         y[rng.choice(dim, size=m, replace=False), np.arange(m)] = 1.0
         n = rng.normal(size=(dim, m))
         d, rho = prescribed_cover(ellipsoid(a), y, n)
-        d_ref, rho_ref = self.composed_route(a, y, n)
+        # ker(Y^T A) is spanned by the unconstrained coordinates, ascending
+        d_ref, rho_ref = self.composed_route(a, y, n, np.eye(dim)[:, ~y.any(axis=1)])
         assert rho.hex() == rho_ref.hex()
         assert d.tobytes() == d_ref.tobytes()
 
@@ -350,7 +360,7 @@ class TestPrescribedCover:
         n = rng.normal(size=(dim, m))
         _, rho = prescribed_cover(ellipsoid(a), y, n)
         _, rho_ref = self.composed_route(a, y, n)
-        sigma = singular_spectrum(a @ nullspace_basis(y.T @ a)).values[: dim - m]
+        sigma = singular_spectrum(a @ kernel_basis(y.T @ a)).values[: dim - m]
         k = int(np.argmax(singular_spectrum(a).values[: dim - m] / sigma))
         assert abs(rho - rho_ref) <= 8 * math.ulp(rho_ref) * sigma[0] / sigma[k]
 
@@ -399,15 +409,14 @@ class TestPrescribedCover:
         if rho is None:
             return
         target = e.spectrum.values[: e.rank - m]
-        sigma = singular_spectrum(a @ nullspace_basis(y.T @ a)).values[: target.size]
+        sigma = singular_spectrum(a @ kernel_basis(y.T @ a)).values[: target.size]
         k = int(np.argmax(target / sigma))
         assert abs(rho - rho_ref) <= 8 * math.ulp(rho_ref) * target[0] / sigma[k]
 
-    def test_dense_cover_makes_two_factored_svds(self, linalg_calls, monkeypatch):
+    def test_dense_cover_makes_two_factored_svds(self, linalg_calls):
         # one thin SVD of Y^T A for its row space R, one of the section
         # A - (A R) R^T; the source's bases were read before, and the
         # truncation is their leading part.  No kernel basis is built.
-        monkeypatch.setattr(covering, "nullspace_basis", None)
         rng = np.random.default_rng(22)
         e = ellipsoid(rng.normal(size=(20, 20)))
         assert e.span_basis.shape == (20, 20)
@@ -683,6 +692,23 @@ class TestSeparatingProjection:
         p = find_separating_projection([t1, t2])
         assert round(np.trace(p)) == 1
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
+
+    @pytest.mark.parametrize("diagonals", [
+        [[8, 6, 5, 1], [16, 12, 3, 2]],
+        [[4, 3, 2, 1], [-8, -6, -4, 1]],
+        [[5, 4, 3, 2, 1], [10, 8, 6, 3, 1], [-15, -12, -9, 7, 2]],
+        [[9, 7, 5, 3, 2, 1], [-7, 6, 4, 3, 2, 1], [5, 4, 3, 2, 1.5, 1]],
+    ])
+    def test_commuting_diagonal_operators_take_the_coordinates_needed(self, diagonals):
+        # every operator orders the coordinates alike, so each candidate
+        # comes once per operator, up to sign; the repeats add no rank and
+        # P keeps the leading coordinates up to the first prefix on which
+        # the diagonals are independent
+        a = np.array(diagonals, dtype=float)
+        needed = next(j for j in range(1, a.shape[1] + 1) if np.linalg.matrix_rank(a[:, :j]) == len(a))
+        p = find_separating_projection([np.diag(row) for row in a])
+        assert np.abs(p @ p - p).max() <= 4 * np.finfo(float).eps
+        assert np.trace(p) == pytest.approx(needed, abs=1e-14)
 
     def test_memory_stays_small(self):
         # the independence check on the d^2 x 3 stack must not build a

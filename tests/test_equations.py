@@ -188,17 +188,63 @@ class TestMatchInvertible:
             assert np.linalg.svd(v, compute_uv=False)[-1] > 0
             assert np.isfinite(cert.condition)
 
-    def test_coinciding_constraints_force_perturbation(self):
-        # identical image requirements for V and V^-1 sides are degenerate
-        # until nudged; the certificate still meets eps
+    @pytest.mark.parametrize("k", range(-51, 1))
+    def test_consistent_swap_is_answered_without_a_lift(self, k):
+        # V e0 = e1 and V^-1 e1 = e0 repeat each other: dom = [e0, e0] and
+        # img = [e1, e1] share their column relation, so the swap of e0 and
+        # e1 meets both at every eps the round-off of V allows
         e = np.eye(4)
-        cert = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=1e-3)
-        assert max(cert.x_residuals + cert.y_residuals) < 1e-3
+        cert = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=2.0 ** k)
+        assert max(cert.x_residuals + cert.y_residuals) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("k", [-53, -60, -500, -1074])
+    def test_swap_below_its_round_off_names_the_achieved_residual(self, k):
+        e = np.eye(4)
+        with pytest.raises(InfeasibleError, match="constraint residual .* not below eps") as info:
+            match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 0]], eps=2.0 ** k)
+        assert 0 < info.value.achieved <= 2.0 ** -52
+
+    def test_consistent_systems_are_answered_exactly(self):
+        # V0 = orthogonal . diag(U(0.5, 2)) and y_0 = V0 x_0, so y_0' = x_0
+        # up to round-off and dom = [x, y'] is rank-deficient; V0 itself
+        # meets every constraint, so no lift is needed at any eps
+        worst = 0.0
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 28])
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(1, d))
+            m = int(rng.integers(1, d - n + 1))
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            s = rng.uniform(0.5, 2.0, size=d)
+            x, y = rng.normal(size=(d, n)), rng.normal(size=(d, m))
+            xt = (q * s) @ x
+            y[:, 0] = xt[:, 0]
+            yt = (q / s).T @ y
+            cert = match_invertible(x.T, xt.T, y.T, yt.T, eps=1e-10)
+            worst = max(worst, *cert.x_residuals, *cert.y_residuals)
+        assert worst <= 1e-12
+
+    def test_scaled_repeat_is_met_exactly(self):
+        # V e0 = e1 and V^-1 (2 e1) = 2 e0: a rotation meets both
+        e = np.eye(4)
+        cert = match_invertible([e[:, 0]], [e[:, 1]], [2 * e[:, 1]], [2 * e[:, 0]], eps=1e-12)
+        assert cert.x_residuals + cert.y_residuals == (0.0, 0.0)
+        assert cert.condition == pytest.approx(1.0, abs=4e-16)
+
+    def test_inconsistent_targets_move_by_a_quarter_eps_or_are_refused(self):
+        # V e0 = e1 and V^-1 e1 = e3 ask V to send both e0 and e3 to e1;
+        # a move of eps/4 below the rank cutoff leaves that unseen
+        e = np.eye(4)
+        cert = match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 3]], eps=1e-3)
+        np.testing.assert_allclose(cert.x_residuals + cert.y_residuals, 0.25e-3, rtol=1e-12)
+        with pytest.raises(InfeasibleError, match=r"eps/4 = 2\.5e-14: the move lies below the rank cutoff 1e-12"):
+            match_invertible([e[:, 0]], [e[:, 1]], [e[:, 1]], [e[:, 3]], eps=1e-13)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_nudge_is_a_quarter_eps_off_the_span(self, seed):
-        # x target 0 lies in span(ys): every target is nudged by eps/4
-        # along a unit direction orthogonal to the targets before it
+        # x target 0 lies in span(ys): every target moves once by eps/4
+        # off the span of the fixed vectors on its side, and the moves of
+        # the x targets are orthonormal directions orthogonal to ys
         rng = np.random.default_rng(seed)
         xs, ys, xst, yst = (rng.normal(size=(n, 7)) for n in (2, 2, 2, 2))
         xst[0] = ys[0] - ys[1]
@@ -208,8 +254,8 @@ class TestMatchInvertible:
         np.testing.assert_allclose([np.linalg.norm(m) for m in moved], 0.25e-6, rtol=1e-6)
         np.testing.assert_allclose(cert.x_residuals, 0.25e-6, rtol=1e-6)
         assert max(cert.y_residuals) < 1e-6
-        # the second x target's nudge is orthogonal to ys and the first
-        # nudged target (a direction drawn at random has cosines near 0.3)
+        # the second x target's move is orthogonal to ys and the first
+        # moved target (a direction drawn at random has cosines near 0.3)
         span = np.column_stack([*ys, xst[0] + moved[0]])
         cosines = (span / np.linalg.norm(span, axis=0)).T @ (moved[1] / np.linalg.norm(moved[1]))
         assert np.abs(cosines).max() <= 1e-6
@@ -230,12 +276,12 @@ class TestMatchInvertible:
     @pytest.mark.parametrize("nudged", [False, True])
     def test_condition_is_the_singular_value_ratio(self, seed, nudged):
         # condition = s_max(V) / s_min(V) from numpy's own SVD, and the
-        # residuals through V^-1 = F_dom F_img^-1 stay below eps
+        # residuals through V^-1, built from img's SVD, match numpy's inverse
         rng = np.random.default_rng(seed)
         d = 9
         xs, ys = list(rng.normal(size=(3, d))), list(rng.normal(size=(2, d)))
         xst, yst = list(rng.normal(size=(3, d))), list(rng.normal(size=(2, d)))
-        if nudged:  # an x target inside span(xs, y targets) forces the nudge
+        if nudged:  # an x target inside span(xs, y targets) forces the lift
             xst[0] = xs[1] + yst[0]
         cert = match_invertible(xs, xst, ys, yst, eps=1e-6)
         v = np.asarray(cert.operator)
@@ -249,8 +295,9 @@ class TestMatchInvertible:
     @pytest.mark.parametrize("k", [-60, -30, 30])
     @pytest.mark.parametrize("nudged", [False, True])
     def test_nudge_does_not_depend_on_scale(self, k, nudged):
-        # scaling every vector and eps by 2^k poses the same problem; an
-        # absolute floor in the well-posedness test nudged it at 2^-30
+        # scaling every vector and eps by 2^k poses the same problem: the
+        # consistency test is relative, and the lift moves each target by
+        # eps/4 at every scale
         rng = np.random.default_rng(5)
         xs, ys, xst, yst = (rng.normal(size=(n, 9)) for n in (3, 2, 3, 2))
         if nudged:  # an x target in span(ys) makes V's image dependent

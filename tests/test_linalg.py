@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from widthlab import InputError, solve_xay
-from widthlab._linalg import RANK_RCOND, monomial_svd, nullspace_basis, rank, svd
+from widthlab._linalg import RANK_RCOND, monomial_svd, rank, svd
 
 
 @st.composite
@@ -44,10 +44,12 @@ def test_monomial_branch_is_exact(a, full_matrices):
 @settings(max_examples=200, deadline=None)
 @given(monomial())
 def test_monomial_kernels_are_exact_coordinate_vectors(a):
-    # the kernel is exactly the span of the coordinate vectors of the
-    # columns whose entry is zero or sits at or below the cutoff
-    s = svd(a, compute_uv=False)
-    basis = nullspace_basis(a)
+    # the kernel, the rows of the full right factor beyond the rank, is
+    # exactly the span of the coordinate vectors of the columns whose entry
+    # is zero or sits at or below the cutoff; section_svd's row-space basis
+    # (the rows within the rank) relies on the same exactness
+    _, s, vh = svd(a, full_matrices=True)
+    basis = vh[rank(a):].T
     small = np.flatnonzero(np.abs(a).max(axis=0) <= RANK_RCOND * s[0])
     assert basis.shape == (a.shape[1], a.shape[1] - rank(a)) == (a.shape[1], small.size)
     assert np.isin(basis, (0.0, 1.0)).all()

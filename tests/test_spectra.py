@@ -18,7 +18,7 @@ from widthlab import (
     truncate_ellipsoid,
 )
 from widthlab import spectra
-from widthlab._linalg import RANK_RCOND, monomial_svd, nullspace_basis, svd
+from widthlab._linalg import RANK_RCOND, monomial_svd, svd
 
 
 def random_orthogonal(rng, d):
@@ -397,20 +397,6 @@ class TestMembership:
 
 
 class TestHelpers:
-    def test_nullspace_basis(self):
-        rng = np.random.default_rng(41)
-        m = rng.normal(size=(2, 6))
-        n = nullspace_basis(m)
-        assert n.shape == (6, 4)
-        assert np.abs(m @ n).max() < 1e-12
-        np.testing.assert_allclose(n.T @ n, np.eye(4), atol=1e-12)
-
-    def test_nullspace_zero_columns_exact(self):
-        m = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-        n = nullspace_basis(m)
-        assert n.shape == (3, 2)
-        assert np.abs(m @ n).max() == 0.0
-
     def test_scale_ellipsoid(self):
         e = ellipsoid(np.diag([2.0, 1.0]))
         s = scale_ellipsoid(e, 3.0)
@@ -418,10 +404,12 @@ class TestHelpers:
         np.testing.assert_array_equal(s.generator, np.diag([6.0, 3.0]))
 
     @pytest.mark.parametrize("a, c, what", [
-        (1e300 * np.eye(2), 1e300, "generator entries"),
-        (1e300 * np.ones((2, 2)), 1e8, "singular values"),  # entries 1e308, top s-number 2e308
+        (1e300 * np.eye(2), 1e300, "generator entries overflow"),
+        (1e300 * np.ones((2, 2)), 1e8, "singular values overflow"),  # entries 1e308, top s-number 2e308
+        # 1e-11 is within the rank and 1e-324 rounds to 0, which the rank would count
+        (np.diag([1.0, 1e-11]), 1e-313, "singular values underflow"),
     ])
-    def test_scale_ellipsoid_refuses_overflow(self, a, c, what):
+    def test_scale_ellipsoid_refuses_overflow_and_underflow(self, a, c, what):
         # no numpy RuntimeWarning, which pytest turns into an error here
-        with pytest.raises(InputError, match=f"scaled {what} overflow double precision; rescale the input"):
+        with pytest.raises(InputError, match=f"scaled {what} double precision; rescale the input"):
             scale_ellipsoid(ellipsoid(a), c)
