@@ -1,8 +1,8 @@
 """The SVD, the one rank rule that decides every "is this direction there",
-the section of an ellipsoid by a subspace, the Gram-matrix norm, the PSD
-margin and the power-of-two rescale that every verdict rests on.  Kernels,
-complements and projections are read off the singular vectors beyond or
-within the rank that rule decides.
+the one range-inclusion rule built on it, the section of an ellipsoid by a
+subspace, the Gram-matrix norm, the PSD margin and the power-of-two rescale
+that every verdict rests on.  Kernels, complements and projections are read
+off the singular vectors beyond or within the rank that rule decides.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
 wrappers installed on ``numpy.linalg`` see every call.
@@ -100,6 +100,27 @@ def rank_from_values(values: np.ndarray, rcond: float = RANK_RCOND, top: float |
 def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     """Numerical rank of ``m`` under :func:`rank_from_values`."""
     return rank_from_values(svd(m, compute_uv=False), rcond)
+
+
+def range_contains(m: np.ndarray, n: np.ndarray, m_values: np.ndarray | None = None,
+                   rcond: float = RANK_RCOND) -> bool:
+    """Does ``range(n) ⊆ range(m)``?  The one range-inclusion rule, the
+    range half of Douglas' lemma: ``rank([m n]) == rank(m)``.
+
+    ``m`` and ``n`` are each scaled by their own power of two, which is
+    exact, so the answer does not depend on the scale of either.  Both
+    ranks count the values above ``rcond * s_1([m n])`` of the scaled
+    matrices; by interlacing the stack's rank is never below ``m``'s.  A
+    caller holding the singular values of ``m`` passes them as
+    ``m_values``, and ``m`` is not decomposed again; when they give ``m``
+    full row rank, ``range(m)`` is the whole space and nothing is.
+    """
+    if m_values is not None and rank_from_values(m_values, rcond) == m.shape[0]:
+        return True
+    m_hat, e = pow2_scaled(m)
+    values = svd(m_hat, compute_uv=False) if m_values is None else np.ldexp(m_values, -e)
+    stack = svd(np.hstack([m_hat, pow2_scaled(n)[0]]), compute_uv=False)
+    return rank_from_values(stack, rcond) == rank_from_values(values, rcond, stack[0])
 
 
 def section_svd(a: np.ndarray, y: np.ndarray, s1: float, rcond: float, compute_uv: bool = True):

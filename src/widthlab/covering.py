@@ -4,11 +4,12 @@ The basic decision ``T K1 ⊇ K2`` for ellipsoids ``K_i = A_i(B)`` reduces to
 a positive-semidefinite test: the image ``M(B)`` contains ``N(B)`` exactly
 when ``N N^T ≼ M M^T`` (a contraction factors one generator through the
 other).  Schmidt covers, interpolation-constrained covers and the
-dimension-tower dichotomy experiment pair singular values instead;
-operator-range equivalence reads its two-sided scaling constants off one
-SVD of the second generator in the first one's singular basis (Douglas'
-range-inclusion lemma).  Covering closures and weak fullness read only the
-width sequences, in :mod:`seqlab`.
+dimension-tower dichotomy experiment pair singular values instead.
+Operator-range equivalence decides ``range(A2) ⊆ range(A1)`` by the one
+range-inclusion rule of :mod:`_linalg` (Douglas' lemma: equal ranks of
+``A1`` and ``[A1 A2]``) and reads its two-sided scaling constants off one
+SVD of the second generator in the first one's singular basis.  Covering
+closures and weak fullness read only the width sequences, in :mod:`seqlab`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, gram_top, pow2_scaled, psd_margin, rank
+from ._linalg import RANK_RCOND, gram_top, pow2_scaled, psd_margin, range_contains, rank
 from ._linalg import rank_from_values, section_svd, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow
@@ -274,16 +275,25 @@ def find_separating_projection(t_list) -> np.ndarray:
 
     Makes ``U -> (trace(U P T_i))_i`` surjective.  ``P`` grows greedily from
     the top singular directions of the inputs, one rank at a time; the rank
-    found is minimal only in the best-effort sense.
+    found is minimal only in the best-effort sense.  Both independence
+    ranks, of the ``T_i`` and of the ``P T_i``, stack each operator scaled
+    by its own power of two, so neither depends on their relative scale
+    and no product overflows; a dependence is reported with the caller's
+    ``T_i``.
     """
     mats = as_square([(f"t_list[{i}]", t) for i, t in enumerate(t_list)])
     d, k = mats[0].shape[0], len(mats)
-    stacked = np.stack([t.reshape(-1) for t in mats])
+    mats, exps = zip(*map(pow2_scaled, mats))
     # more operators than entries leave the thin right factor short of ker
-    _, sv, combos = svd(stacked.T, full_matrices=d * d < k)
+    _, sv, combos = svd(np.stack([t.reshape(-1) for t in mats]).T, full_matrices=d * d < k)
     r = rank_from_values(sv)
     if r < k:
-        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in enumerate(combos[r]) if abs(c) > RANK_RCOND)
+        # sum_i c_i 2^-e_i T_i = 0, shifted by the least exponent shown so
+        # that none overflows
+        shown = np.flatnonzero(np.abs(combos[r]) > RANK_RCOND)
+        e = np.array(exps)[shown]
+        coeffs = np.ldexp(combos[r][shown], e.min() - e)
+        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in zip(shown, coeffs))
         raise InputError(f"operators are linearly dependent: {terms} = 0")
 
     factors = [(u, rank_from_values(sv)) for u, sv, _ in map(svd, mats)]
@@ -298,13 +308,10 @@ def find_separating_projection(t_list) -> np.ndarray:
             continue
         kept = trial
         p = u[:, :r] @ u[:, :r].T
-        proj = np.stack([(p @ t).reshape(-1) for t in mats])
+        proj = np.stack([pow2_scaled((p @ t).reshape(-1))[0] for t in mats])
         if rank(proj) == k:
             return p
     raise WidthlabError("internal: projection onto the joint range failed the rank test")
-
-
-RANGE_TOL = 1e-9
 
 
 def range_equiv(a1, a2) -> RangeEquivalence:
@@ -312,30 +319,24 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     scaling constants ``c K1 ⊆ K2 ⊆ C K1`` (generalized eigenvalues on the
     common range).
 
-    At full rank both ranges are the whole space; below it the ranges agree
-    when ``||P1 - P2||`` of the two range projectors stays within
-    ``RANGE_TOL``.  Between ranges of one dimension that norm is
-    ``||(I - P1) P2||``, the sine of the largest principal angle (Golub &
-    Van Loan, Matrix Computations, 2.5.3): the top singular value of the
-    ``d x r`` matrix ``q2 - q1 (q1^T q2)``."""
+    The ranges agree when the two ranks agree under the rank rule and
+    ``range(a2) ⊆ range(a1)`` under :func:`~widthlab._linalg.range_contains`,
+    which reuses the singular values of ``a1``; at full rank both ranges are
+    the whole space and no inclusion is tested."""
     a1 = as_operator(a1, "first generator")
     a2 = as_operator(a2, "second generator")
     if a1.shape[0] != a2.shape[0]:
         raise InputError(
             f"generators must share the ambient dimension, got {a1.shape[0]} and {a2.shape[0]}"
         )
-    # U1 and s1 from one factored SVD of a1; a2 gives its basis only when read
+    # U1 and s1 from one factored SVD of a1, the rank of a2 from its values
     u1, s1, _ = svd(a1)
-    r, e2 = rank_from_values(s1), ellipsoid(a2)
-    if r != e2.rank:
+    r = rank_from_values(s1)
+    if r != rank(a2) or not range_contains(a1, a2, s1):
         return RangeEquivalence(False)
     if r == 0:
         return RangeEquivalence(True, 1.0, 1.0)
     q1 = u1[:, :r]
-    if r < a1.shape[0]:
-        q2 = e2.span_basis
-        if svd(q2 - q1 @ (q1.T @ q2), compute_uv=False)[0] > RANGE_TOL:
-            return RangeEquivalence(False)
     # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
     # eigenvalues of the two forms are the squared singular values of
     # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)

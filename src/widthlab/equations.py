@@ -6,8 +6,8 @@ density-flavoured operations are the two constructive kernels behind
 strong-operator approximation: exact factorizations ``X Y = B`` through a
 doubled internal space, and invertible operators matching finitely many
 vector constraints on both ``V`` and ``V^{-1}``.  Every decision and basis
-comes from :mod:`_linalg`'s SVD and rank rule; the module needs no other
-package module but :mod:`errors`.
+comes from :mod:`_linalg`'s SVD, rank rule and range-inclusion rule; the
+module needs no other package module but :mod:`errors`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, pow2_scaled, rank, rank_from_values, svd
+from ._linalg import RANK_RCOND, pow2_scaled, range_contains, rank, rank_from_values, svd
 from .errors import InfeasibleError, InputError, UnsolvableError, WidthlabError
 from .errors import as_columns, as_operator, as_square, check_no_overflow, check_positive, frozen
 
@@ -137,8 +137,7 @@ def first_component_member(x, a, b) -> bool:
     b = as_operator(b, "B")
     if x.shape[1] != a.shape[0] or x.shape[0] != b.shape[0]:
         raise InputError("shape mismatch between X, A and B")
-    xa = x @ a
-    return rank(np.hstack([xa, b])) == rank(xa)
+    return range_contains(x @ a, b)
 
 
 def factor_pair(b) -> SolutionPair:
@@ -162,17 +161,18 @@ def _matching_maps(dom: np.ndarray, img: np.ndarray):
     """``(V, V^-1)`` with ``V dom = img`` up to round-off, or ``None`` when
     ``dom`` and ``img`` do not share their column relations.
 
-    They share them when their ranks agree and ``img`` vanishes on
-    ``ker(dom)``, both under the rank rule (the latter at ``s_1(img)``).
+    They share them when their ranks agree under the rank rule and ``img``
+    vanishes on ``ker(dom)``: the row space of ``img`` lies in that of
+    ``dom`` under :func:`~widthlab._linalg.range_contains`, which reuses
+    ``dom``'s singular values and tests nothing when ``dom`` has full
+    column rank.
     Then ``V`` is ``img dom^+`` on ``range(dom)`` plus an isometry from
     ``range(dom)⊥`` onto ``range(img)⊥``, and ``V^-1`` is built the same
     way from ``img``, from one full SVD of each stack.
     """
     f_dom, f_img = svd(dom, full_matrices=True), svd(img, full_matrices=True)
     r = rank_from_values(f_dom[1])
-    if rank_from_values(f_img[1]) != r:
-        return None
-    if rank_from_values(svd(img @ f_dom[2][r:].T, compute_uv=False), top=f_img[1][0]):
+    if rank_from_values(f_img[1]) != r or not range_contains(dom.T, img.T, f_dom[1]):
         return None
 
     def onto(b, f_a, u_b):  # b a^+ on range(a), then range(a)⊥ -> range(b)⊥
@@ -193,18 +193,10 @@ def _lifted(targets: np.ndarray, fixed: np.ndarray, step: float) -> np.ndarray:
     return targets + step * (c @ (u @ wh))
 
 
-def match_invertible(xs, xs_target, ys, ys_target, eps: float) -> MatchCertificate:
-    """Invertible ``V`` with ``||V x_i - x_i'|| < eps`` and
-    ``||V^{-1} y_j - y_j'|| < eps``.
-
-    ``V`` must map ``dom = [x, y']`` onto ``img = [x', y]``, which a
-    consistent system (the two stacks share their column relations under
-    the rank rule) allows exactly: ``V`` is ``img dom^+`` on ``range(dom)``
-    and an isometry between the orthogonal complements.  An inconsistent
-    system moves each side's targets once by ``eps/4`` off that side's fixed
-    vectors (``y'`` off ``span(x)``, ``x'`` off ``span(y)``), which makes
-    both stacks of full rank; a move the rank cutoff cannot see is refused.
-    """
+def _matched(xs, xs_target, ys, ys_target, eps: float):
+    """The checked ``(V, V^-1, x residuals, y residuals)`` behind
+    :func:`match_invertible`; ``V^-1`` is the inverse the ``y`` residuals
+    were measured with."""
     check_positive(eps, "eps")
     x = as_columns(xs, None, "xs")
     if x.shape[1] == 0:
@@ -237,6 +229,22 @@ def match_invertible(xs, xs_target, ys, ys_target, eps: float) -> MatchCertifica
     worst = max(rx + ry)
     if worst >= eps:
         raise InfeasibleError(f"constraint residual {worst:g} not below eps={eps:g}", worst)
+    return v, v_inv, rx, ry
+
+
+def match_invertible(xs, xs_target, ys, ys_target, eps: float) -> MatchCertificate:
+    """Invertible ``V`` with ``||V x_i - x_i'|| < eps`` and
+    ``||V^{-1} y_j - y_j'|| < eps``.
+
+    ``V`` must map ``dom = [x, y']`` onto ``img = [x', y]``, which a
+    consistent system (the two stacks share their column relations under
+    the rank rule) allows exactly: ``V`` is ``img dom^+`` on ``range(dom)``
+    and an isometry between the orthogonal complements.  An inconsistent
+    system moves each side's targets once by ``eps/4`` off that side's fixed
+    vectors (``y'`` off ``span(x)``, ``x'`` off ``span(y)``), which makes
+    both stacks of full rank; a move the rank cutoff cannot see is refused.
+    """
+    v, _, rx, ry = _matched(xs, xs_target, ys, ys_target, eps)
     sv = svd(v, compute_uv=False)
     return MatchCertificate(v, float(sv[0] / sv[-1]), rx, ry)
 
@@ -277,13 +285,14 @@ def approx_factorization(b, x0, y0, test_vectors, eps: float) -> SolutionPair:
 
     delta = eps / (2.0 * gamma * (1.0 + norm_x))
     try:
-        match = match_invertible(cols, xs_t, cols, ys_t, delta)
+        v, v_inv, _, _ = _matched(cols, xs_t, cols, ys_t, delta)
     except InfeasibleError as exc:
         raise InfeasibleError(
             f"no invertible twist meets eps={eps:g} at dimension {d}: its constraints "
             f"need residuals below {delta:g}", exc.achieved) from exc
-    v = np.asarray(match.operator)
-    v_inv = np.linalg.inv(v)
+    # V^-1, built from img's SVD, leaves I - V^-1 V at about eps * cond(img);
+    # one Newton-Schulz step squares that, as the product X V^-1 V Y = B needs
+    v_inv += (np.eye(2 * d) - v_inv @ v) @ v_inv
     xn, yn = x @ v_inv, v @ u1
 
     y_res = np.linalg.norm(yn @ vmat - u1 @ (y0 @ vmat), axis=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, monomial_svd, rank_from_values, section_svd, svd
+from ._linalg import RANK_RCOND, monomial_svd, range_contains, rank_from_values, section_svd, svd
 from .errors import InputError, as_columns, as_operator, as_subspace, check_integer, check_positive
 from .errors import check_no_overflow, check_spectrum, frozen
 
@@ -250,18 +250,15 @@ def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
 def ellipsoid_membership(e: Ellipsoid, y) -> bool:
     """True iff ``y`` lies in the ellipsoid (within ``MEMBERSHIP_TOL``).
 
-    Checks that ``y`` sits in the column space of the generator, to
-    ``MEMBERSHIP_TOL`` relative to ``||y||``, and that the minimum-norm
-    preimage has norm at most ``1 + MEMBERSHIP_TOL``.
+    ``y`` must sit in the column space of the generator, as
+    :func:`~widthlab._linalg.range_contains` decides it at the ellipsoid's
+    ``rcond``, and its minimum-norm preimage must have norm at most
+    ``1 + MEMBERSHIP_TOL``.
     """
-    v = as_columns([y], e.ambient_dim, "point")[:, 0]
-    norm_y = float(np.linalg.norm(v))
-    if norm_y == 0.0:
-        return True
-    coords = e.span_basis.T @ v
-    residual = float(np.linalg.norm(v - e.span_basis @ coords))
-    if residual > MEMBERSHIP_TOL * norm_y:
+    v = as_columns([y], e.ambient_dim, "point")
+    if not range_contains(e.generator, v, e.spectrum.values, e.rcond):
         return False
+    coords = e.span_basis.T @ v[:, 0]
     sv = e.spectrum.values[: e.rank]
     preimage_norm = float(np.linalg.norm(coords / sv)) if e.rank else 0.0
     return preimage_norm <= 1.0 + MEMBERSHIP_TOL

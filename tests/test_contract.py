@@ -133,7 +133,6 @@ def test_no_module_imports_private_names_of_another():
 TOLERANCES = {
     ("_linalg.py", "RANK_RCOND"): 1e-12,
     ("covering.py", "MARGIN_BAND"): 1e-6,
-    ("covering.py", "RANGE_TOL"): 1e-9,
     ("equations.py", "_RESIDUAL_TOL"): 1e-9,
     ("errors.py", "ORTHO_TOL"): 1e-9,
     ("errors.py", "PSD_TOL"): 1e-9,
@@ -236,11 +235,11 @@ def test_export_scan_flags_exactly_the_imported_names():
     assert foreign_exports(source) == ["A", "f"]
 
 
-# numpy.linalg routines that run an SVD, an eigensolver or a QR
+# numpy.linalg routines that run an SVD, an eigensolver, or a QR or LU
 # factorization; a matrix norm with ord 2, -2 or 'nuc' takes the singular
 # values too
 DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "pinv", "lstsq", "matrix_rank", "cond",
-                  "qr"}
+                  "qr", "inv", "solve"}
 SPECTRAL_ORDS = {2, -2, "nuc"}
 
 
@@ -258,8 +257,8 @@ def spectral_ord(node) -> bool:
 
 
 def decomposition_calls(source: str) -> list:
-    """Lines of ``source`` that use an SVD-, eigen- or QR-based numpy.linalg
-    routine or import one (or ``norm``) from numpy.linalg."""
+    """Lines of ``source`` that use an SVD-, eigen-, QR- or LU-based
+    numpy.linalg routine or import one (or ``norm``) from numpy.linalg."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
@@ -275,7 +274,8 @@ def decomposition_calls(source: str) -> list:
 
 def test_only_linalg_calls_numpy_svd():
     # every decomposition goes through _linalg, whose SVD is exact on
-    # monomial matrices and refuses overflow
+    # monomial matrices and refuses overflow; no other module inverts or
+    # solves with an LU of its own
     offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "_linalg.py" for line in decomposition_calls(path.read_text())]
     assert offenders == []
@@ -286,10 +286,10 @@ def test_only_linalg_calls_numpy_svd():
     ("np.linalg.pinv(x)", 1), ("np.linalg.lstsq(a, b)", 1), ("np.linalg.matrix_rank(a)", 1),
     ("np.linalg.cond(a)", 1), ("np.linalg.norm(v, 2)", 1), ("np.linalg.norm(v, ord=-2)", 1),
     ("np.linalg.norm(v, 'nuc')", 1), ("np.linalg.norm(v, ord=k)", 1),
-    ("from numpy.linalg import eigh, solve", 1),
-    ("np.linalg.qr(a)", 1),
+    ("from numpy.linalg import eigh, solve", 2), ("from numpy.linalg import det, eigh", 1),
+    ("np.linalg.qr(a)", 1), ("np.linalg.solve(a, b)", 1), ("np.linalg.inv(a)", 1),
     ("np.linalg.norm(v)", 0), ("np.linalg.norm(v, axis=0)", 0), ("np.linalg.norm(v, 'fro')", 0),
-    ("np.linalg.solve(a, b)", 0), ("np.linalg.inv(a)", 0),
+    ("np.linalg.det(a)", 0),
 ])
 def test_decomposition_scan_flags_exactly_the_banned_calls(source, hits):
     assert len(decomposition_calls(source)) == hits

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ from widthlab import (
     wot_density_experiment,
 )
 from widthlab import covering
-from widthlab._linalg import RANK_RCOND
+from widthlab._linalg import RANK_RCOND, rank
 from widthlab.covering import MARGIN_BAND, PSD_TOL, RangeEquivalence
 from widthlab.seqlab import CASE_FINITE_CODIM, CASE_LACUNARY, CASE_NON_LACUNARY, shift_search
 
@@ -685,6 +686,27 @@ class TestSeparatingProjection:
         with pytest.raises(InputError, match="linearly dependent"):
             find_separating_projection([t, 2 * t])
 
+    @pytest.mark.parametrize("k", [-60, -45, 0, 45])
+    def test_independence_does_not_depend_on_relative_scale(self, k):
+        # each operator is scaled by its own power of two before both ranks;
+        # a dependence is named in the caller's operators
+        eye, swap = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = find_separating_projection([eye, 2.0 ** k * swap])
+        np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
+        with pytest.raises(InputError, match="linearly dependent") as info:
+            find_separating_projection([eye, 2.0 ** k * eye])
+        c1, c2 = map(float, re.findall(r"\(([^)]*)\)\*T", str(info.value)))
+        assert c1 != 0 and c1 + c2 * 2.0 ** k == pytest.approx(0.0, abs=1e-5 * abs(c1))
+
+    def test_operators_whose_singular_values_overflow_are_separated(self):
+        # s_1 of the all-1e308 operator overflows; scaled by its own power
+        # of two it is the rank-one all-ones direction, independent of diag
+        big = np.full((3, 3), 1e308)
+        p = find_separating_projection([np.diag([3.0, 2.0, 1.0]), big])
+        np.testing.assert_allclose(p, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+        with pytest.raises(InputError, match=r"linearly dependent: \(-?1\)\*T2 = 0"):
+            find_separating_projection([big, np.zeros((3, 3))])
+
     def test_near_dependent_pair_accepted_by_the_validator_is_separated(self):
         # independent under the RANK_RCOND rule; the greedy stop uses the same rule
         t1 = np.eye(4)
@@ -741,16 +763,31 @@ def rotated_range_pair(d: int, angle: float, seed: int):
 
 class TestRangeEquivalence:
     @pytest.mark.parametrize("d", [3, 8, 40])
-    @pytest.mark.parametrize("angle, same", [(0.0, True), (1e-10, True), (5e-10, True),
-                                             (2e-9, False), (1e-6, False), (1e-2, False)])
+    @pytest.mark.parametrize("angle, same", [(0.0, True), (1e-13, True), (1e-12, True),
+                                             (1e-10, False), (5e-10, False), (2e-9, False),
+                                             (1e-6, False), (1e-2, False)])
     def test_small_angle_grid(self, d, angle, same):
-        # ||P1 - P2|| is the sine of the largest principal angle, so the
-        # ranges count as one up to RANGE_TOL = 1e-9
+        # ||P1 - P2|| is the sine of the largest principal angle; the rank
+        # rule sees a rotated direction once that sine clears RANK_RCOND
+        # (1e-11 sits on the cutoff and is not pinned)
         for seed in range(3):
             a1, a2, q1, q2 = rotated_range_pair(d, angle, seed)
             gap = np.linalg.norm(q1 @ q1.T - q2 @ q2.T, 2)
             assert gap == pytest.approx(math.sin(angle), rel=1e-3, abs=1e-14)
             assert range_equiv(a1, a2).same_range is same
+
+    @pytest.mark.parametrize("low", [1e-6, 1e-8, 1e-9, 1e-10, 1e-11])
+    def test_exact_inclusions_are_the_same_range(self, low):
+        # a2 = a1 R lies in range(a1); unless R drops a rank under the rank
+        # rule the ranges are one, however graded a1 is
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            q1 = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+            q2 = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            a1 = q1[:, :4] @ np.diag(np.geomspace(1.0, low, 4)) @ q2.T
+            a2 = a1 @ rng.normal(size=(4, 4))
+            if rank(a1) == rank(a2):
+                assert range_equiv(a1, a2).same_range
 
     def test_pure_scaling(self):
         eq = range_equiv(np.diag([1.0, 0.5]), 3 * np.diag([1.0, 0.5]))
@@ -791,7 +828,7 @@ class TestRangeEquivalence:
         assert eq.C == pytest.approx(sv[0], rel=1e-12)
 
 
-    def test_full_rank_kernel_makes_three_svds_and_no_projector_test(self, linalg_calls):
+    def test_full_rank_kernel_makes_three_svds_and_no_inclusion_test(self, linalg_calls):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(40, 40))
         assert range_equiv(a, a @ rng.normal(size=(40, 40))).same_range
@@ -799,13 +836,13 @@ class TestRangeEquivalence:
         # constants from two values-only SVDs; no Gram matrix is formed
         assert linalg_calls == {"svd": 2, "svd_uv": 1, "eigvalsh": 0}
 
-    def test_rank_deficient_kernel_adds_the_projector_test(self, linalg_calls):
+    def test_rank_deficient_kernel_adds_the_inclusion_test(self, linalg_calls):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(40, 30))
         assert range_equiv(a, a @ rng.normal(size=(30, 30))).same_range
-        # the projector test reads the span of a2 (one factored SVD) and takes
-        # one values-only SVD of the d x r matrix q2 - q1 (q1^T q2)
-        assert linalg_calls == {"svd": 3, "svd_uv": 2, "eigvalsh": 0}
+        # the inclusion test reuses the singular values of a1 and takes one
+        # values-only SVD of the stack [a1 a2]; no basis of a2 is read
+        assert linalg_calls == {"svd": 3, "svd_uv": 1, "eigvalsh": 0}
 
     def test_generators_whose_gram_matrix_overflows_are_answered(self):
         # no Gram matrix is formed, so A A^T overflowing refuses nothing

@@ -127,6 +127,13 @@ class TestFirstComponent:
         assert not first_component_member(x, a, b)
 
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-150, 1e-300])
+    def test_small_b_off_the_range_is_excluded(self, scale):
+        # col(B) = span(e1) is not in col(XA) = span(e0), however small B is
+        assert not first_component_member(np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, scale]))
+        assert first_component_member(np.eye(2), np.diag([1.0, 0.0]), np.diag([scale, 0.0]))
+
+
 class TestFactorPair:
     def test_diagonal(self):
         b = np.diag([1.0, 2.0])
@@ -260,6 +267,15 @@ class TestMatchInvertible:
         cosines = (span / np.linalg.norm(span, axis=0)).T @ (moved[1] / np.linalg.norm(moved[1]))
         assert np.abs(cosines).max() <= 1e-6
 
+    def test_full_column_rank_stacks_take_no_inclusion_svd(self, linalg_calls):
+        # dom = [x, y'] of full column rank has no kernel, so the row-space
+        # inclusion reads dom's values and decomposes nothing: rank(xs),
+        # rank(ys) and the condition take values only, each stack one full SVD
+        rng = np.random.default_rng(3)
+        xs, xst, ys, yst = (rng.normal(size=(3, 9)) for _ in range(4))
+        match_invertible(xs, xst, ys, yst, eps=1e-6)
+        assert linalg_calls == {"svd": 3, "svd_uv": 2, "eigvalsh": 0}
+
     def test_dependent_inputs_rejected(self):
         e = np.eye(4)
         with pytest.raises(InputError, match="independent"):
@@ -352,6 +368,27 @@ class TestApproxFactorization:
             for v in vs:
                 assert np.linalg.norm(y @ v - u1 @ (y0 @ v)) < 1e-3
                 assert np.linalg.norm(x @ (u1 @ v) - x0 @ v) < 1e-3
+
+    @pytest.mark.parametrize("t", [43, 79, 114, 119, 124, 192, 225, 228, 363])
+    def test_ill_conditioned_twist_keeps_the_product(self, t):
+        # V^-1 as the matching kernel builds it from img's SVD leaves
+        # I - V^-1 V near eps * cond(img), up to 8e-10 on these inputs, and
+        # X V^-1 V Y drifted from B by up to 7e-8; the refined inverse keeps
+        # the product within 1e-9 and meets eps on every test vector
+        rng = np.random.default_rng(t)
+        d = int(rng.integers(2, 9))
+        k = int(rng.integers(1, d + 1))
+        b = rng.normal(size=(d, d)) * 10 ** rng.uniform(-3, 3)
+        x0, y0 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        vs = rng.normal(size=(k, d)) * 10 ** rng.uniform(-3, 3, size=(k, 1))
+        eps = 10 ** rng.uniform(-6, -1)
+        pair = approx_factorization(b, x0, y0, vs, eps)
+        x, y = np.asarray(pair.X), np.asarray(pair.Y)
+        assert pair.residual <= 1e-9
+        u1 = np.vstack([np.eye(d), np.zeros((d, d))])
+        for v in vs:
+            assert np.linalg.norm(y @ v - u1 @ (y0 @ v)) < eps
+            assert np.linalg.norm(x @ (u1 @ v) - x0 @ v) < eps
 
     def test_dependent_test_vectors_followed_by_linearity(self):
         rng = np.random.default_rng(9)

@@ -1,13 +1,16 @@
 """The one SVD entry point, ``_linalg.svd``: exact on monomial matrices,
-numpy's shapes for both factor sizes, and refusal of overflow."""
+numpy's shapes for both factor sizes, and refusal of overflow; and the one
+range-inclusion rule, ``_linalg.range_contains``, behind its callers."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from widthlab import InputError, solve_xay
-from widthlab._linalg import RANK_RCOND, monomial_svd, rank, svd
+from widthlab import InputError, first_component_member, range_equiv, solve_xay
+from widthlab._linalg import RANK_RCOND, monomial_svd, range_contains, rank, svd
+from widthlab.equations import _matching_maps
 
 
 @st.composite
@@ -109,3 +112,45 @@ def test_non_finite_singular_values_are_refused_in_both_branches(a):
                  lambda: rank(a)):
         with pytest.raises(InputError, match="singular values overflow double precision"):
             call()
+
+
+def integer_matrix(data, rows, cols):
+    """Entries in [-2, 2]: every rank sits far from the cutoff."""
+    return data.draw(hnp.arrays(np.float64, (rows, cols), elements=st.integers(-2, 2).map(float)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inclusion_verdicts_do_not_depend_on_the_scale_of_each_operand(data):
+    # half the draws put the second operand in the first one's range (or
+    # row space); scaling each operand by its own 2^k changes no verdict
+    d = data.draw(st.integers(1, 5))
+    dims = [data.draw(st.integers(1, 5)) for _ in range(3)]
+    related = data.draw(st.booleans())
+
+    def second(first, cols):
+        if related:
+            return first @ integer_matrix(data, first.shape[1], cols)
+        return integer_matrix(data, first.shape[0], cols)
+
+    def scaled(*operands):
+        return [np.ldexp(a, data.draw(st.integers(-500, 500))) for a in operands]
+
+    a1 = integer_matrix(data, d, dims[0])
+    a2 = second(a1, dims[1])
+    assert range_equiv(*scaled(a1, a2)).same_range == range_equiv(a1, a2).same_range
+
+    x, a = integer_matrix(data, d, dims[0]), integer_matrix(data, dims[0], dims[1])
+    b = second(x @ a, dims[2])
+    assert first_component_member(*scaled(x, a, b)) == first_component_member(x, a, b)
+
+    dom = integer_matrix(data, d, dims[0])
+    img = second(dom.T, d).T  # related: img = G dom, whose rows lie in dom's row space
+    assert (_matching_maps(*scaled(dom, img)) is None) == (_matching_maps(dom, img) is None)
+
+
+def test_full_row_rank_takes_no_decomposition(linalg_calls):
+    # given the values of m, a full row rank answers at once
+    m = np.random.default_rng(0).normal(size=(3, 5))
+    assert range_contains(m, np.ones((3, 2)), np.linalg.svd(m, compute_uv=False))
+    assert linalg_calls == {"svd": 1, "svd_uv": 0, "eigvalsh": 0}
