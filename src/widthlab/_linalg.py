@@ -103,24 +103,40 @@ def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
 
 
 def range_contains(m: np.ndarray, n: np.ndarray, m_values: np.ndarray | None = None,
-                   rcond: float = RANK_RCOND) -> bool:
+                   m_basis: np.ndarray | None = None) -> bool:
     """Does ``range(n) ⊆ range(m)``?  The one range-inclusion rule, the
     range half of Douglas' lemma: ``rank([m n]) == rank(m)``.
 
     ``m`` and ``n`` are each scaled by their own power of two, which is
     exact, so the answer does not depend on the scale of either.  Both
-    ranks count the values above ``rcond * s_1([m n])`` of the scaled
+    ranks count the values above ``RANK_RCOND * s_1([m n])`` of the scaled
     matrices; by interlacing the stack's rank is never below ``m``'s.  A
     caller holding the singular values of ``m`` passes them as
     ``m_values``, and ``m`` is not decomposed again; when they give ``m``
     full row rank, ``range(m)`` is the whole space and nothing is.
+
+    A caller that also holds ``Q``, the left singular vectors of those
+    values, passes it as ``m_basis``; ``m`` then stands for
+    ``Q diag(m_values) W^T``, its truncation when they are its leading
+    values only, and ``m`` itself is not read past its scale.  ``[m n]``
+    has the singular values of ``[[diag(m_values), Q^T n], [0, n - Q Q^T n]]``,
+    one column per value and per column of ``n``, which is narrower than
+    the stack when ``m`` has more columns than values.
     """
-    if m_values is not None and rank_from_values(m_values, rcond) == m.shape[0]:
+    if m_values is not None and rank_from_values(m_values) == m.shape[0]:
         return True
     m_hat, e = pow2_scaled(m)
+    n_hat = pow2_scaled(n)[0]
     values = svd(m_hat, compute_uv=False) if m_values is None else np.ldexp(m_values, -e)
-    stack = svd(np.hstack([m_hat, pow2_scaled(n)[0]]), compute_uv=False)
-    return rank_from_values(stack, rcond) == rank_from_values(values, rcond, stack[0])
+    if m_basis is None:
+        stack = np.hstack([m_hat, n_hat])
+    else:
+        k, c = values.size, m_basis.T @ n_hat
+        stack = np.zeros((k + n.shape[0], k + n.shape[1]))
+        stack[np.arange(k), np.arange(k)] = values
+        stack[:k, k:], stack[k:, k:] = c, n_hat - m_basis @ c
+    s = svd(stack, compute_uv=False)
+    return rank_from_values(s) == rank_from_values(values, top=s[0])
 
 
 def section_svd(a: np.ndarray, y: np.ndarray, s1: float, rcond: float, compute_uv: bool = True):

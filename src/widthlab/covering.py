@@ -270,6 +270,13 @@ def wot_density_experiment(model: SequenceModel, m: int, dims, seed: int) -> Dic
 # Separating projections and operator ranges
 # ----------------------------------------------------------------------
 
+def _times_pow2(c: float, k: int) -> str:
+    """``c * 2^k`` to six digits: one number, or ``c*2^k`` where that
+    number would underflow to a subnormal or zero."""
+    v = math.ldexp(c, k)
+    return f"{v:.6g}" if abs(v) >= np.finfo(float).tiny else f"{c:.6g}*2^{k}"
+
+
 def find_separating_projection(t_list) -> np.ndarray:
     """Orthogonal projection ``P`` keeping ``{P T_i}`` linearly independent.
 
@@ -289,11 +296,11 @@ def find_separating_projection(t_list) -> np.ndarray:
     r = rank_from_values(sv)
     if r < k:
         # sum_i c_i 2^-e_i T_i = 0, shifted by the least exponent shown so
-        # that none overflows
+        # that none overflows; one that would underflow keeps its power of two
         shown = np.flatnonzero(np.abs(combos[r]) > RANK_RCOND)
         e = np.array(exps)[shown]
-        coeffs = np.ldexp(combos[r][shown], e.min() - e)
-        terms = " + ".join(f"({c:.6g})*T{i + 1}" for i, c in zip(shown, coeffs))
+        terms = " + ".join(f"({_times_pow2(c, int(j))})*T{i + 1}"
+                           for i, c, j in zip(shown, combos[r][shown], e.min() - e))
         raise InputError(f"operators are linearly dependent: {terms} = 0")
 
     factors = [(u, rank_from_values(sv)) for u, sv, _ in map(svd, mats)]

@@ -194,9 +194,9 @@ def _lifted(targets: np.ndarray, fixed: np.ndarray, step: float) -> np.ndarray:
 
 
 def _matched(xs, xs_target, ys, ys_target, eps: float):
-    """The checked ``(V, V^-1, x residuals, y residuals)`` behind
-    :func:`match_invertible`; ``V^-1`` is the inverse the ``y`` residuals
-    were measured with."""
+    """:func:`match_invertible` without the condition number: ``V``, the
+    ``V^-1`` the matching kernel builds from ``img``'s SVD, and the ``x``
+    and ``y`` residuals of the two, all checked against ``eps``."""
     check_positive(eps, "eps")
     x = as_columns(xs, None, "xs")
     if x.shape[1] == 0:
@@ -292,7 +292,7 @@ def approx_factorization(b, x0, y0, test_vectors, eps: float) -> SolutionPair:
             f"need residuals below {delta:g}", exc.achieved) from exc
     # V^-1, built from img's SVD, leaves I - V^-1 V at about eps * cond(img);
     # one Newton-Schulz step squares that, as the product X V^-1 V Y = B needs
-    v_inv += (np.eye(2 * d) - v_inv @ v) @ v_inv
+    v_inv = v_inv + (np.eye(2 * d) - v_inv @ v) @ v_inv
     xn, yn = x @ v_inv, v @ u1
 
     y_res = np.linalg.norm(yn @ vmat - u1 @ (y0 @ vmat), axis=0)

@@ -250,15 +250,16 @@ def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
 def ellipsoid_membership(e: Ellipsoid, y) -> bool:
     """True iff ``y`` lies in the ellipsoid (within ``MEMBERSHIP_TOL``).
 
-    ``y`` must sit in the column space of the generator, as
-    :func:`~widthlab._linalg.range_contains` decides it at the ellipsoid's
-    ``rcond``, and its minimum-norm preimage must have norm at most
-    ``1 + MEMBERSHIP_TOL``.
+    ``y`` must sit in the span of the ellipsoid, the range of the
+    generator truncated to ``span_basis``, as
+    :func:`~widthlab._linalg.range_contains` decides it from the cached
+    basis and s-numbers, and its minimum-norm preimage must have norm at
+    most ``1 + MEMBERSHIP_TOL``.
     """
     v = as_columns([y], e.ambient_dim, "point")
-    if not range_contains(e.generator, v, e.spectrum.values, e.rcond):
+    sv = e.spectrum.values[: e.rank]
+    if not range_contains(e.generator, v, sv, e.span_basis):
         return False
     coords = e.span_basis.T @ v[:, 0]
-    sv = e.spectrum.values[: e.rank]
     preimage_norm = float(np.linalg.norm(coords / sv)) if e.rank else 0.0
     return preimage_norm <= 1.0 + MEMBERSHIP_TOL

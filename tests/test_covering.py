@@ -660,6 +660,12 @@ class TestClassification:
             classify_WG(Samples((1.0, 0.5, 0.25)), Samples((1.0, 0.5, 0.25)), True)
 
 
+def dependence_terms(message):
+    """The ``(digits, power of two)`` of each coefficient of a dependence
+    message, ``(c)*Ti`` or ``(c*2^k)*Ti``."""
+    return [(float(c), int(k or 0)) for c, k in re.findall(r"\(([^)*]*)(?:\*2\^(-?\d+))?\)\*T", message)]
+
+
 class TestSeparatingProjection:
     def test_matrix_units_need_full_rank(self):
         e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -695,8 +701,20 @@ class TestSeparatingProjection:
         np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
         with pytest.raises(InputError, match="linearly dependent") as info:
             find_separating_projection([eye, 2.0 ** k * eye])
-        c1, c2 = map(float, re.findall(r"\(([^)]*)\)\*T", str(info.value)))
+        c1, c2 = (math.ldexp(c, j) for c, j in dependence_terms(str(info.value)))
         assert c1 != 0 and c1 + c2 * 2.0 ** k == pytest.approx(0.0, abs=1e-5 * abs(c1))
+
+    def test_dependence_across_the_exponent_range_keeps_every_coefficient(self):
+        # shifted to T1's exponent, T2's coefficient is 2^-2000 times its
+        # digits, below every double: it is printed with its power of two
+        # instead of as 0, which would claim a multiple of T1 vanishes
+        tiny, huge = np.ldexp(np.eye(2), -1000), np.ldexp(np.eye(2), 1000)
+        with pytest.raises(InputError, match=r"\*2\^-2000\)\*T2 = 0") as info:
+            find_separating_projection([tiny, huge])
+        (c1, j1), (c2, j2) = dependence_terms(str(info.value))
+        assert (j1, j2) == (0, -2000) and c1 != 0
+        # c1 2^-1000 I + c2 2^(-2000 + 1000) I = 0
+        assert c1 + c2 == pytest.approx(0.0, abs=1e-5 * abs(c1))
 
     def test_operators_whose_singular_values_overflow_are_separated(self):
         # s_1 of the all-1e308 operator overflows; scaled by its own power

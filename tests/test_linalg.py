@@ -154,3 +154,19 @@ def test_full_row_rank_takes_no_decomposition(linalg_calls):
     m = np.random.default_rng(0).normal(size=(3, 5))
     assert range_contains(m, np.ones((3, 2)), np.linalg.svd(m, compute_uv=False))
     assert linalg_calls == {"svd": 1, "svd_uv": 0, "eigvalsh": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factored_inclusion_answers_as_the_stack_does(data):
+    # [[diag(s), Q^T n], [0, n - Q Q^T n]] has the singular values of
+    # [m n], whether Q holds all of m's thin left vectors or only those
+    # within its rank; integer operands keep every rank far from the cutoff
+    d, cols, p = (data.draw(st.integers(1, 6)) for _ in range(3))
+    m = integer_matrix(data, d, cols)
+    n = m @ integer_matrix(data, cols, p) if data.draw(st.booleans()) else integer_matrix(data, d, p)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    verdict = range_contains(m, n)
+    assert range_contains(m, n, s, u) == verdict
+    k = rank(m)
+    assert range_contains(m, n, s[:k], u[:, :k]) == verdict

@@ -395,6 +395,41 @@ class TestMembership:
         assert not ellipsoid_membership(e, [0.0, 0.5])
         assert ellipsoid_membership(e, [0.5, 0.0])
 
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 3), (8, 3)])
+    def test_range_at_rcond_zero_ignores_round_off(self, shape):
+        # a @ u carries round-off of order eps off range(a); the inclusion
+        # is decided at RANK_RCOND whatever the ellipsoid's own rcond, so
+        # that round-off is not counted as a direction
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(size=shape)
+        e = ellipsoid(a, rcond=0.0)
+        u = rng.normal(size=(shape[1], 200))
+        u /= np.linalg.norm(u, axis=0)
+        off = np.linalg.svd(a, full_matrices=True)[0][:, shape[1]:] @ rng.normal(size=(shape[0] - shape[1],))
+        for i in range(u.shape[1]):
+            p = a @ (0.999 * u[:, i])
+            assert ellipsoid_membership(e, p)
+            assert not ellipsoid_membership(e, 1.01 * a @ u[:, i])
+            assert not ellipsoid_membership(e, p + 1e-6 * np.linalg.norm(p) * off)
+
+    def test_rank_deficient_membership_decomposes_only_the_bordered_block(self, monkeypatch):
+        # the inclusion reuses the cached basis and s-numbers: one values-only
+        # SVD of [[diag(s), Q^T y], [0, y - Q Q^T y]], (rank + d) x (rank + 1),
+        # and no SVD of the d x (n + 1) stack [A y]
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(40, 4)) @ rng.normal(size=(4, 60))
+        e = ellipsoid(a)
+        e.span_basis
+        calls, real_svd = [], np.linalg.svd
+
+        def svd(m, full_matrices=True, compute_uv=True, *args, **kwargs):
+            calls.append((m.shape, compute_uv))
+            return real_svd(m, full_matrices, compute_uv, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert ellipsoid_membership(e, a @ rng.normal(size=60) / 1e3)
+        assert calls == [((44, 5), False)]
+
 
 class TestHelpers:
     def test_scale_ellipsoid(self):
