@@ -1,7 +1,8 @@
 """The SVD, the one rank rule that decides every "is this direction there",
-the one range-inclusion rule built on it, the section of an ellipsoid by a
-subspace, the Gram-matrix norm, the PSD margin and the power-of-two rescale
-that every verdict rests on.  Kernels, complements and projections are read
+the one range-inclusion rule built on it with Douglas' quotient ``M^+ N``
+behind that rule, the section of an ellipsoid by a subspace, the
+Gram-matrix norm, the PSD margin and the power-of-two rescale that every
+verdict rests on.  Kernels, complements and projections are read
 off the singular vectors beyond or within the rank that rule decides.
 
 numpy's linear algebra is looked up as ``np.linalg.<fn>`` at call time, so
@@ -102,41 +103,43 @@ def rank(m: np.ndarray, rcond: float = RANK_RCOND) -> int:
     return rank_from_values(svd(m, compute_uv=False), rcond)
 
 
-def range_contains(m: np.ndarray, n: np.ndarray, m_values: np.ndarray | None = None,
-                   m_basis: np.ndarray | None = None) -> bool:
+def range_contains(m: np.ndarray, n: np.ndarray, m_values: np.ndarray, m_basis: np.ndarray) -> bool:
     """Does ``range(n) ⊆ range(m)``?  The one range-inclusion rule, the
-    range half of Douglas' lemma: ``rank([m n]) == rank(m)``.
+    range half of Douglas' lemma, from ``m``'s singular values
+    ``m_values`` and their left singular vectors ``m_basis``.
 
-    ``m`` and ``n`` are each scaled by their own power of two, which is
-    exact, so the answer does not depend on the scale of either.  Both
-    ranks count the values above ``RANK_RCOND * s_1([m n])`` of the scaled
-    matrices; by interlacing the stack's rank is never below ``m``'s.  A
-    caller holding the singular values of ``m`` passes them as
-    ``m_values``, and ``m`` is not decomposed again; when they give ``m``
-    full row rank, ``range(m)`` is the whole space and nothing is.
-
-    A caller that also holds ``Q``, the left singular vectors of those
-    values, passes it as ``m_basis``; ``m`` then stands for
-    ``Q diag(m_values) W^T``, its truncation when they are its leading
-    values only, and ``m`` itself is not read past its scale.  ``[m n]``
-    has the singular values of ``[[diag(m_values), Q^T n], [0, n - Q Q^T n]]``,
-    one column per value and per column of ``n``, which is narrower than
-    the stack when ``m`` has more columns than values.
+    A full row rank answers at once.  Otherwise ``m`` stands for
+    ``Q diag(s) W^T`` cut to the ``r`` values the rank rule counts, and
+    ``rank([m n]) == r`` is read off the ``(r + rows) x (r + cols(n))``
+    block ``[[diag(s), Q^T n], [0, n - Q Q^T n]]``, which has the singular
+    values of ``[m n]``.  Each operand is scaled by its own power of two,
+    exactly, so no scale changes the answer; both ranks count at the
+    block's largest value, and by interlacing its rank is never below ``r``.
     """
-    if m_values is not None and rank_from_values(m_values) == m.shape[0]:
+    r = rank_from_values(m_values)
+    if r == m.shape[0]:
         return True
-    m_hat, e = pow2_scaled(m)
     n_hat = pow2_scaled(n)[0]
-    values = svd(m_hat, compute_uv=False) if m_values is None else np.ldexp(m_values, -e)
-    if m_basis is None:
-        stack = np.hstack([m_hat, n_hat])
-    else:
-        k, c = values.size, m_basis.T @ n_hat
-        stack = np.zeros((k + n.shape[0], k + n.shape[1]))
-        stack[np.arange(k), np.arange(k)] = values
-        stack[:k, k:], stack[k:, k:] = c, n_hat - m_basis @ c
-    s = svd(stack, compute_uv=False)
+    values, basis = np.ldexp(m_values[:r], -pow2_scaled(m)[1]), m_basis[:, :r]
+    c = basis.T @ n_hat
+    block = np.zeros((r + n.shape[0], r + n.shape[1]))
+    block[np.arange(r), np.arange(r)] = values
+    block[:r, r:], block[r:, r:] = c, n_hat - basis @ c
+    s = svd(block, compute_uv=False)
     return rank_from_values(s) == rank_from_values(values, top=s[0])
+
+
+def range_quotient(m: np.ndarray, n: np.ndarray, m_values: np.ndarray, m_basis: np.ndarray):
+    """Douglas' lemma in one routine: ``None`` unless :func:`range_contains`
+    finds ``range(n) ⊆ range(m)``, else ``diag(1/s_r) Q_r^T n`` over the
+    ``r`` values the rank rule counts.  That is ``W_r^T m^+ n``, so its
+    singular values are the nonzero ones of ``m^+ n`` and its 2-norm is
+    ``||m^+ n||``; entries that overflow are ``inf``."""
+    if not range_contains(m, n, m_values, m_basis):
+        return None
+    r = rank_from_values(m_values)
+    with np.errstate(over="ignore"):  # the caller reports or compares it
+        return (m_basis[:, :r].T @ n) / m_values[:r, None]
 
 
 def section_svd(a: np.ndarray, y: np.ndarray, s1: float, rcond: float, compute_uv: bool = True):

@@ -5,10 +5,9 @@ a positive-semidefinite test: the image ``M(B)`` contains ``N(B)`` exactly
 when ``N N^T ≼ M M^T`` (a contraction factors one generator through the
 other).  Schmidt covers, interpolation-constrained covers and the
 dimension-tower dichotomy experiment pair singular values instead.
-Operator-range equivalence decides ``range(A2) ⊆ range(A1)`` by the one
-range-inclusion rule of :mod:`_linalg` (Douglas' lemma: equal ranks of
-``A1`` and ``[A1 A2]``) and reads its two-sided scaling constants off one
-SVD of the second generator in the first one's singular basis.  Covering
+Operator-range equivalence takes both halves of Douglas' lemma from
+:mod:`_linalg`'s quotient ``A1^+ A2``: the range inclusion, and the
+two-sided scaling constants from one SVD of the quotient.  Covering
 closures and weak fullness read only the width sequences, in :mod:`seqlab`.
 """
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, gram_top, pow2_scaled, psd_margin, range_contains, rank
+from ._linalg import RANK_RCOND, gram_top, pow2_scaled, psd_margin, range_quotient, rank
 from ._linalg import rank_from_values, section_svd, svd
 from .errors import PSD_TOL, InputError, NotCoverableError, WidthlabError
 from .errors import as_operator, as_square, as_subspace, check_integer, check_no_overflow
@@ -326,10 +325,12 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     scaling constants ``c K1 ⊆ K2 ⊆ C K1`` (generalized eigenvalues on the
     common range).
 
-    The ranges agree when the two ranks agree under the rank rule and
-    ``range(a2) ⊆ range(a1)`` under :func:`~widthlab._linalg.range_contains`,
-    which reuses the singular values of ``a1``; at full rank both ranges are
-    the whole space and no inclusion is tested."""
+    The ranges agree when the ranks agree under the rank rule and
+    :func:`~widthlab._linalg.range_quotient`, from the thin SVD of ``a1``,
+    finds ``range(a2) ⊆ range(a1)``.  The constants are the extreme
+    singular values of its quotient, those of ``a1^+ a2``: the square roots
+    of the generalized eigenvalues of the two forms on the common range
+    (Golub & Van Loan, Matrix Computations, 8.7)."""
     a1 = as_operator(a1, "first generator")
     a2 = as_operator(a2, "second generator")
     if a1.shape[0] != a2.shape[0]:
@@ -339,16 +340,11 @@ def range_equiv(a1, a2) -> RangeEquivalence:
     # U1 and s1 from one factored SVD of a1, the rank of a2 from its values
     u1, s1, _ = svd(a1)
     r = rank_from_values(s1)
-    if r != rank(a2) or not range_contains(a1, a2, s1):
+    quotient = range_quotient(a1, a2, s1, u1) if r == rank(a2) else None
+    if quotient is None:
         return RangeEquivalence(False)
     if r == 0:
         return RangeEquivalence(True, 1.0, 1.0)
-    q1 = u1[:, :r]
-    # with q = span_basis, (q^T a1)(q^T a1)^T = diag(s1^2), so the generalized
-    # eigenvalues of the two forms are the squared singular values of
-    # diag(1/s1) q^T a2 (Golub & Van Loan, Matrix Computations, 8.7)
-    with np.errstate(over="ignore"):  # reported just below
-        quotient = (q1.T @ a2) / s1[:r, None]
     check_no_overflow(quotient, "scaling constants")
     sv = svd(quotient, compute_uv=False)
     if sv[-1] == 0:  # the quotient of two rank-r generators has rank r

@@ -131,13 +131,16 @@ def solve_xay(a, b) -> SolutionPair:
 
 
 def first_component_member(x, a, b) -> bool:
-    """Is ``X`` the first component of some solution: ``col(B) ⊆ col(X A)``?"""
+    """Is ``X`` the first component of some solution: ``col(B) ⊆ col(X A)``?
+    One thin SVD of ``X A`` gives the factors the inclusion rule reads."""
     x = as_operator(x, "X")
     a = as_operator(a, "A")
     b = as_operator(b, "B")
     if x.shape[1] != a.shape[0] or x.shape[0] != b.shape[0]:
         raise InputError("shape mismatch between X, A and B")
-    return range_contains(x @ a, b)
+    xa = pow2_scaled(x @ a)[0]
+    u, s, _ = svd(xa)
+    return range_contains(xa, b, s, u)
 
 
 def factor_pair(b) -> SolutionPair:
@@ -164,15 +167,15 @@ def _matching_maps(dom: np.ndarray, img: np.ndarray):
     They share them when their ranks agree under the rank rule and ``img``
     vanishes on ``ker(dom)``: the row space of ``img`` lies in that of
     ``dom`` under :func:`~widthlab._linalg.range_contains`, which reuses
-    ``dom``'s singular values and tests nothing when ``dom`` has full
-    column rank.
+    ``dom``'s singular values and right singular vectors and tests nothing
+    when ``dom`` has full column rank.
     Then ``V`` is ``img dom^+`` on ``range(dom)`` plus an isometry from
     ``range(dom)⊥`` onto ``range(img)⊥``, and ``V^-1`` is built the same
     way from ``img``, from one full SVD of each stack.
     """
     f_dom, f_img = svd(dom, full_matrices=True), svd(img, full_matrices=True)
     r = rank_from_values(f_dom[1])
-    if rank_from_values(f_img[1]) != r or not range_contains(dom.T, img.T, f_dom[1]):
+    if rank_from_values(f_img[1]) != r or not range_contains(dom.T, img.T, f_dom[1], f_dom[2].T):
         return None
 
     def onto(b, f_a, u_b):  # b a^+ on range(a), then range(a)⊥ -> range(b)⊥

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import RANK_RCOND, monomial_svd, range_contains, rank_from_values, section_svd, svd
+from ._linalg import RANK_RCOND, monomial_svd, range_quotient, rank_from_values, section_svd, svd
 from .errors import InputError, as_columns, as_operator, as_subspace, check_integer, check_positive
 from .errors import check_no_overflow, check_spectrum, frozen
 
@@ -248,18 +248,11 @@ def scale_ellipsoid(e: Ellipsoid, c: float) -> Ellipsoid:
 
 
 def ellipsoid_membership(e: Ellipsoid, y) -> bool:
-    """True iff ``y`` lies in the ellipsoid (within ``MEMBERSHIP_TOL``).
-
-    ``y`` must sit in the span of the ellipsoid, the range of the
-    generator truncated to ``span_basis``, as
-    :func:`~widthlab._linalg.range_contains` decides it from the cached
-    basis and s-numbers, and its minimum-norm preimage must have norm at
-    most ``1 + MEMBERSHIP_TOL``.
-    """
+    """True iff ``y`` lies in the ellipsoid (within ``MEMBERSHIP_TOL``):
+    :func:`~widthlab._linalg.range_quotient`, from the cached ``span_basis``
+    and the s-numbers within the rank, finds ``y`` in the generator's range
+    and gives its minimum-norm preimage in the right singular basis, whose
+    norm must be at most ``1 + MEMBERSHIP_TOL``."""
     v = as_columns([y], e.ambient_dim, "point")
-    sv = e.spectrum.values[: e.rank]
-    if not range_contains(e.generator, v, sv, e.span_basis):
-        return False
-    coords = e.span_basis.T @ v[:, 0]
-    preimage_norm = float(np.linalg.norm(coords / sv)) if e.rank else 0.0
-    return preimage_norm <= 1.0 + MEMBERSHIP_TOL
+    coords = range_quotient(e.generator, v, e.spectrum.values[: e.rank], e.span_basis)
+    return coords is not None and float(np.linalg.norm(coords)) <= 1.0 + MEMBERSHIP_TOL

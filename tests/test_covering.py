@@ -858,8 +858,8 @@ class TestRangeEquivalence:
         rng = np.random.default_rng(6)
         a = rng.normal(size=(40, 30))
         assert range_equiv(a, a @ rng.normal(size=(30, 30))).same_range
-        # the inclusion test reuses the singular values of a1 and takes one
-        # values-only SVD of the stack [a1 a2]; no basis of a2 is read
+        # the inclusion test reuses the thin SVD of a1 and takes one
+        # values-only SVD of the bordered block; no basis of a2 is read
         assert linalg_calls == {"svd": 3, "svd_uv": 1, "eigvalsh": 0}
 
     def test_generators_whose_gram_matrix_overflows_are_answered(self):

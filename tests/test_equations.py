@@ -133,6 +133,15 @@ class TestFirstComponent:
         assert not first_component_member(np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, scale]))
         assert first_component_member(np.eye(2), np.diag([1.0, 0.0]), np.diag([scale, 0.0]))
 
+    @pytest.mark.parametrize("inner", [6, 3], ids=["full-rank", "rank-deficient"])
+    def test_one_factored_svd_and_the_block_only_when_deficient(self, linalg_calls, inner):
+        # the values and basis of X A come from one thin SVD; only a
+        # rank-deficient X A decomposes the bordered block, values only
+        rng = np.random.default_rng(8)
+        x, a = rng.normal(size=(6, 6)), rng.normal(size=(6, inner)) @ rng.normal(size=(inner, 6))
+        assert first_component_member(x, a, x @ a @ rng.normal(size=(6, 4)))
+        assert linalg_calls == {"svd": int(inner < 6), "svd_uv": 1, "eigvalsh": 0}
+
 
 class TestFactorPair:
     def test_diagonal(self):

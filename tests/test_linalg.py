@@ -1,6 +1,10 @@
 """The one SVD entry point, ``_linalg.svd``: exact on monomial matrices,
 numpy's shapes for both factor sizes, and refusal of overflow; and the one
-range-inclusion rule, ``_linalg.range_contains``, behind its callers."""
+range-inclusion rule, ``_linalg.range_contains``, behind its callers, with
+Douglas' quotient ``_linalg.range_quotient`` against an independent
+pseudo-inverse and the exact oracle."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from widthlab import InputError, first_component_member, range_equiv, solve_xay
-from widthlab._linalg import RANK_RCOND, monomial_svd, range_contains, rank, svd
+from widthlab._linalg import RANK_RCOND, monomial_svd, pow2_scaled, range_contains, range_quotient, rank
+from widthlab._linalg import rank_from_values, svd
 from widthlab.equations import _matching_maps
+
+from exact_psd import contains, rational, scaled
 
 
 @st.composite
@@ -150,10 +157,20 @@ def test_inclusion_verdicts_do_not_depend_on_the_scale_of_each_operand(data):
 
 
 def test_full_row_rank_takes_no_decomposition(linalg_calls):
-    # given the values of m, a full row rank answers at once
+    # given the factors of m, a full row rank answers at once
     m = np.random.default_rng(0).normal(size=(3, 5))
-    assert range_contains(m, np.ones((3, 2)), np.linalg.svd(m, compute_uv=False))
-    assert linalg_calls == {"svd": 1, "svd_uv": 0, "eigvalsh": 0}
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    assert range_contains(m, np.ones((3, 2)), s, u)
+    assert linalg_calls == {"svd": 0, "svd_uv": 1, "eigvalsh": 0}
+
+
+def stack_inclusion(m, n):
+    """The reference the bordered block stands for: ``rank([m n]) ==
+    rank(m)`` from one SVD of the stack of the power-of-two scaled
+    operands, both ranks counted at the stack's largest value."""
+    m_hat, n_hat = pow2_scaled(m)[0], pow2_scaled(n)[0]
+    s = np.linalg.svd(np.hstack([m_hat, n_hat]), compute_uv=False)
+    return rank_from_values(s) == rank_from_values(np.linalg.svd(m_hat, compute_uv=False), top=s[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,7 +183,59 @@ def test_factored_inclusion_answers_as_the_stack_does(data):
     m = integer_matrix(data, d, cols)
     n = m @ integer_matrix(data, cols, p) if data.draw(st.booleans()) else integer_matrix(data, d, p)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    verdict = range_contains(m, n)
+    verdict = stack_inclusion(m, n)
     assert range_contains(m, n, s, u) == verdict
     k = rank(m)
     assert range_contains(m, n, s[:k], u[:, :k]) == verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_is_the_pseudo_inverse_on_the_range(data):
+    """``range_quotient(m, n)`` is ``None`` exactly when a column of ``n``
+    is off ``range(m)``; otherwise its singular values are those of
+    ``m^+ n``, and its largest one is ``||m^+ n||``, the least ``t`` with
+    ``n(B) ⊆ t m(B)`` (Douglas' lemma), which the exact oracle brackets.
+
+    Integer operands with entries in [-2, 2] and at most 6 rows or
+    columns keep every rank far from the cutoff: the product of the
+    nonzero singular values of an integer matrix of rank ``r`` is at least
+    1 and each is at most ``||m||_F <= 12``, so ``s_r >= 12^(1-r)``.  The
+    reference is numpy's minimum-norm least-squares solution, which is
+    ``m^+ n`` by another LAPACK route (gelsd).  Both routes are backward
+    stable: each computes ``(m + E)^+ n`` up to rounding of order
+    ``d u ||n|| / s_r``, with ``||E|| <= g u ||m||`` for a modest ``g``
+    (Golub & Van Loan, Matrix Computations, 5.5 and 8.6), and when the
+    perturbation keeps the rank, ``||(m + E)^+ - m^+|| <= sqrt(2) ||E||
+    / (s_r (s_r - ||E||))`` (P.-Å. Wedin, BIT 13, 1973).  By Weyl's
+    inequality each singular value of either moves by at most the norm of
+    its error, so the two differ by at most ``bound = 2 (sqrt(2) g + d)
+    u kappa(m) ||n|| / s_r``; ``g = 8 (rows + cols)`` is generous for
+    these sizes.
+    """
+    d, cols, p = (data.draw(st.integers(1, 6)) for _ in range(3))
+    m = integer_matrix(data, d, cols)
+    if data.draw(st.booleans()):
+        n = m @ integer_matrix(data, cols, p)
+    else:
+        n = integer_matrix(data, d, p)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    quotient = range_quotient(m, n, s, u)
+    r = np.linalg.matrix_rank(m)
+    if np.linalg.matrix_rank(np.hstack([m, n])) > r:
+        assert quotient is None
+        return
+    assert quotient is not None and quotient.shape == (r, p)
+    if r == 0:
+        return
+    sq = np.linalg.svd(quotient, compute_uv=False)
+    oracle = np.linalg.svd(np.linalg.lstsq(m, n, rcond=None)[0], compute_uv=False)[: sq.size]
+    eps = np.finfo(float).eps
+    g = 8 * (d + cols)
+    bound = 2 * (np.sqrt(2) * g + d) * eps * (s[0] / s[r - 1]) * np.linalg.norm(n, 2) / s[r - 1]
+    np.testing.assert_allclose(sq, oracle, rtol=0, atol=bound)
+    # ||m^+ n|| <= t exactly when n n^T <= t^2 m m^T, decided in rationals
+    top, exact_m, exact_n = Fraction(float(sq[0])), rational(m), rational(n)
+    assert contains(scaled(top + Fraction(bound), exact_m), exact_n)
+    if sq[0] > bound:
+        assert not contains(scaled(top - Fraction(bound), exact_m), exact_n)

@@ -412,10 +412,22 @@ class TestMembership:
             assert not ellipsoid_membership(e, 1.01 * a @ u[:, i])
             assert not ellipsoid_membership(e, p + 1e-6 * np.linalg.norm(p) * off)
 
+    def test_square_rank_deficient_points_at_rcond_zero_are_inside(self):
+        # rcond 0 counts the round-off s-numbers of a rank-2 generator; the
+        # preimage divides only by the values the rank rule counts, as the
+        # inclusion does, so round-off coordinates are not blown up
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            a = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
+            e = ellipsoid(a, rcond=0.0)
+            u = rng.normal(size=4)
+            assert ellipsoid_membership(e, a @ (0.5 * u / np.linalg.norm(u)))
+
     def test_rank_deficient_membership_decomposes_only_the_bordered_block(self, monkeypatch):
         # the inclusion reuses the cached basis and s-numbers: one values-only
         # SVD of [[diag(s), Q^T y], [0, y - Q Q^T y]], (rank + d) x (rank + 1),
-        # and no SVD of the d x (n + 1) stack [A y]
+        # and no SVD of the d x (n + 1) stack [A y]; the preimage norm is
+        # the norm of the one-column quotient, which takes no SVD
         rng = np.random.default_rng(12)
         a = rng.normal(size=(40, 4)) @ rng.normal(size=(4, 60))
         e = ellipsoid(a)
